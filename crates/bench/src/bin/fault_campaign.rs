@@ -1,7 +1,7 @@
 //! Fault-injection campaign: survival and detection rates per fault kind.
 //!
-//! Sweeps every [`FaultKind`] across a range of seeds, runs each plan
-//! through [`Accelerator::try_run_with_faults`], and classifies the
+//! Sweeps every [`FaultKind`] across a range of seeds, runs each plan to
+//! completion through [`Accelerator::try_run_slice`], and classifies the
 //! outcome: *survived* (the machine tolerated the fault and the verified
 //! output is correct), *detected* (the run terminated with a structured
 //! `SimError`), or *escaped* (the fault produced neither — a silent
@@ -25,7 +25,7 @@
 
 use matraptor_bench::print_table;
 use matraptor_core::{
-    classify, Accelerator, Checkpoint, FaultKind, FaultPlan, MatRaptorConfig, Verdict,
+    classify, Accelerator, Checkpoint, FaultKind, FaultPlan, MatRaptorConfig, SliceRun, Verdict,
 };
 use matraptor_sparse::{gen, Csr};
 
@@ -86,7 +86,10 @@ fn parse_args() -> CampaignOptions {
 /// Returns true on success.
 fn resume_check(accel: &Accelerator, a: &Csr<f64>, b: &Csr<f64>, lanes: usize) -> bool {
     let plan = FaultPlan::sample(FaultKind::BurstRefusal, 1, lanes);
-    let full = match accel.try_run_with_faults(a, b, Some(&plan)) {
+    let full = match accel
+        .try_run_slice(a, b, Some(&plan), None, u64::MAX)
+        .and_then(SliceRun::completed)
+    {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("resume-check: baseline faulted run failed: {e}");
@@ -94,9 +97,9 @@ fn resume_check(accel: &Accelerator, a: &Csr<f64>, b: &Csr<f64>, lanes: usize) -
         }
     };
     let half = full.stats.total_cycles / 2;
-    let ck = match accel.try_run_to_checkpoint(a, b, Some(&plan), half) {
-        Ok(Some(ck)) => ck,
-        Ok(None) => {
+    let ck = match accel.try_run_slice(a, b, Some(&plan), None, half) {
+        Ok(SliceRun::Paused(ck)) => ck,
+        Ok(SliceRun::Completed(_)) => {
             eprintln!("resume-check: run completed before cycle {half}");
             return false;
         }
@@ -115,13 +118,14 @@ fn resume_check(accel: &Accelerator, a: &Csr<f64>, b: &Csr<f64>, lanes: usize) -
             return false;
         }
     };
-    let resumed = match accel.try_run_from(a, b, &ck) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("resume-check: resumed run failed: {e}");
-            return false;
-        }
-    };
+    let resumed =
+        match accel.try_run_slice(a, b, None, Some(&ck), u64::MAX).and_then(SliceRun::completed) {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                eprintln!("resume-check: resumed run failed: {e}");
+                return false;
+            }
+        };
     if resumed.stats.total_cycles != full.stats.total_cycles {
         eprintln!(
             "resume-check: cycle mismatch — full {} vs resumed {}",
@@ -181,7 +185,9 @@ fn main() {
         let mut escaped = 0u64;
         for seed in 0..opts.seeds {
             let plan = FaultPlan::sample(kind, opts.seed ^ seed, lanes);
-            let result = accel.try_run_with_faults(&a, &b, Some(&plan));
+            let result = accel
+                .try_run_slice(&a, &b, Some(&plan), None, u64::MAX)
+                .and_then(SliceRun::completed);
             match classify(kind, &result) {
                 Verdict::Survived => survived += 1,
                 Verdict::Detected => detected += 1,

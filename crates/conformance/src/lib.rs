@@ -12,8 +12,9 @@
 //! rests on (see DESIGN.md "Invariants & static analysis"):
 //!
 //! * **determinism** — simulator-state crates (`core`, `sim`, `mem`,
-//!   `service`) must not use `HashMap`/`HashSet`, wall-clock time, or
-//!   OS-seeded randomness; same seed, same cycle count, always.
+//!   `service`) must not use `HashMap`/`HashSet`, wall-clock time,
+//!   OS-seeded randomness, or environment variables; same seed, same
+//!   cycle count, always.
 //! * **panic-safety** — `core`, `mem`, `service`, and the `sparse`
 //!   SpGEMM/C²SR hot paths must propagate errors (`Result<_, SparseError>`)
 //!   instead of calling `unwrap`/`expect`/`panic!` outside test code.

@@ -92,13 +92,18 @@ pub(crate) fn sim_state_models(a: &Analysis) -> impl Iterator<Item = &FileModel>
 /// error-message string can never fire.
 pub struct Determinism;
 
-const DETERMINISM_TOKENS: [(&str, &str); 5] = [
+const DETERMINISM_TOKENS: [(&str, &str); 8] = [
     ("HashMap", "iteration order varies between runs; use BTreeMap"),
     ("HashSet", "iteration order varies between runs; use BTreeSet"),
     ("Instant::now", "wall-clock reads make cycle counts irreproducible"),
     ("SystemTime", "wall-clock reads make cycle counts irreproducible"),
     ("thread_rng", "OS-seeded randomness; use a seeded matraptor_sparse::rng::ChaCha8Rng"),
+    ("env::var", ENV_WHY),
+    ("env::var_os", ENV_WHY),
+    ("env::vars", ENV_WHY),
 ];
+
+const ENV_WHY: &str = "the process environment differs between runs; pass settings in the config";
 
 fn determinism_why(token: &str) -> &'static str {
     DETERMINISM_TOKENS
@@ -114,7 +119,8 @@ impl Rule for Determinism {
     }
     fn description(&self) -> &'static str {
         "simulator-state crates (core, sim, mem, service) must not use \
-         HashMap/HashSet, wall-clock time, or OS-seeded randomness"
+         HashMap/HashSet, wall-clock time, OS-seeded randomness, or \
+         environment variables"
     }
     fn check(&self, a: &Analysis) -> Vec<Violation> {
         let mut out = Vec::new();
@@ -131,6 +137,14 @@ impl Rule for Determinism {
                             && toks.get(i + 2).is_some_and(|n| n.is_ident("now")) =>
                     {
                         "Instant::now"
+                    }
+                    "env" if toks.get(i + 1).is_some_and(|p| p.is_punct("::")) => {
+                        match toks.get(i + 2).map(|n| n.text.as_str()) {
+                            Some("var") => "env::var",
+                            Some("var_os") => "env::var_os",
+                            Some("vars") => "env::vars",
+                            _ => continue,
+                        }
                     }
                     _ => continue,
                 };

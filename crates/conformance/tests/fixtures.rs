@@ -16,8 +16,8 @@ fn determinism_rule_fires_and_suppresses() {
     let report = fixture("determinism");
     assert_eq!(
         report.violations.len(),
-        1,
-        "expected exactly the HashMap import:\n{}",
+        2,
+        "expected exactly the HashMap import and the environment read:\n{}",
         report.human()
     );
     let v = &report.violations[0];
@@ -25,6 +25,10 @@ fn determinism_rule_fires_and_suppresses() {
     assert_eq!(v.file, "crates/core/src/lib.rs");
     assert_eq!(v.line, 3);
     assert!(v.message.contains("HashMap"));
+    let v = &report.violations[1];
+    assert_eq!(v.rule, "determinism");
+    assert_eq!(v.line, 13);
+    assert!(v.message.contains("env::var_os"));
     // The HashSet on line 6 carries an allow comment; the HashMap inside
     // `#[cfg(test)]` is exempt without one.
     assert_eq!(report.suppressed, 1);

@@ -9,6 +9,10 @@ pub fn route() {
     unimplemented!()
 }
 
+pub fn verbose() -> bool {
+    std::env::var_os("DEBUG").is_some()
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashMap;

@@ -59,20 +59,6 @@ pub struct RunOutcome {
     pub stats: MatRaptorStats,
 }
 
-/// How a deadline-bounded run ended: finished inside the budget, or
-/// cancelled at the deadline with the machine state captured via the
-/// checkpoint path (so a scheduler that changes its mind — or a debugger —
-/// can still resume the cancelled work with [`Accelerator::try_run_from`]).
-#[derive(Debug)]
-pub enum DeadlineRun {
-    /// The run drained before the deadline. Boxed to keep the enum near
-    /// pointer size next to the slim `Cancelled` payload.
-    Completed(Box<RunOutcome>),
-    /// The run was cancelled at the deadline cycle; the payload is the
-    /// full machine state at the moment of cancellation.
-    Cancelled(Box<Checkpoint>),
-}
-
 /// Outcome of one bounded execution slice ([`Accelerator::try_run_slice`]):
 /// the job either drained inside the slice or was paused at the slice
 /// boundary with a resumable [`Checkpoint`] to hand to the next slice —
@@ -84,22 +70,26 @@ pub enum SliceRun {
     /// enum near pointer size next to the slim `Paused` payload.
     Completed(Box<RunOutcome>),
     /// The run paused at the slice boundary; the payload resumes it via
-    /// another `try_run_slice` call (or [`Accelerator::try_run_from`]).
+    /// another `try_run_slice` call.
     Paused(Box<Checkpoint>),
 }
 
-/// A failed checkpointing run: the error plus the last checkpoint taken
-/// before the failure, if any — the input to the recovery ladder's
-/// resume-from-checkpoint rung.
-#[derive(Debug)]
-pub struct FailedRun {
-    /// Why the run failed.
-    pub error: SimError,
-    /// The most recent checkpoint preceding the failure. `None` when the
-    /// run failed before the first checkpoint interval elapsed. Boxed:
-    /// a checkpoint holds the whole machine state, and the happy path
-    /// should not pay its size in the `Result`.
-    pub checkpoint: Option<Box<Checkpoint>>,
+impl SliceRun {
+    /// The outcome of a slice that had to drain: one bounded at
+    /// `u64::MAX`, which never pauses (see [`Accelerator::try_run_slice`]).
+    /// Chains onto the slice's `Result` as `.and_then(SliceRun::completed)`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::ProtocolViolation`] if the slice paused anyway.
+    pub fn completed(self) -> Result<RunOutcome, SimError> {
+        match self {
+            SliceRun::Completed(outcome) => Ok(*outcome),
+            SliceRun::Paused(_) => Err(SimError::ProtocolViolation {
+                detail: "an unbounded run paused before draining",
+            }),
+        }
+    }
 }
 
 struct Lane {
@@ -260,8 +250,8 @@ impl Accelerator {
     /// Inputs arrive in CSR and are laid out in C²SR exactly as the
     /// driver software would (the conversion cost is *not* charged here;
     /// the `fmt_conversion` experiment measures it separately, per
-    /// Section VII). With no fault injected this is bit-identical to the
-    /// historical panicking `run`: same cycle counts, same C values.
+    /// Section VII). This is one unbounded, unfaulted
+    /// [`Accelerator::try_run_slice`].
     ///
     /// # Errors
     ///
@@ -272,43 +262,22 @@ impl Accelerator {
     /// [`SimError::OutputCorrupted`] when an integrity check fails.
     #[must_use = "dropping the Result loses both the run outcome and any fault diagnosis"]
     pub fn try_run(&self, a: &Csr<f64>, b: &Csr<f64>) -> Result<RunOutcome, SimError> {
-        self.try_run_with_faults(a, b, None)
+        self.try_run_slice(a, b, None, None, u64::MAX).and_then(SliceRun::completed)
     }
 
-    /// [`Accelerator::try_run`] with an optional injected fault — the
-    /// entry point fault campaigns drive.
+    /// An unbounded [`Accelerator::try_run_slice`] from cycle 0 with heavy
+    /// tracing enabled: alongside the normal outcome, records windowed
+    /// per-channel traffic timelines, queue-occupancy histograms, and
+    /// per-lane stage attribution timelines ([`RunTrace`]), exportable as
+    /// `chrome://tracing` JSON.
+    ///
+    /// Tracing is observational only — the run's cycles, output, and
+    /// statistics are bit-identical to the untraced run.
     ///
     /// # Errors
     ///
     /// As [`Accelerator::try_run`]; which variant depends on the fault
-    /// (see [`FaultKind`]).
-    #[must_use = "dropping the Result loses both the run outcome and any fault diagnosis"]
-    pub fn try_run_with_faults(
-        &self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        plan: Option<&FaultPlan>,
-    ) -> Result<RunOutcome, SimError> {
-        let ctx = self.prepare_context(a, b)?;
-        let mut state = self.fresh_state(&ctx, plan);
-        let completed = self.drive(&ctx, &mut state, None)?;
-        debug_assert!(completed, "unbounded drive returned without completing");
-        self.finalize(&ctx, &state)
-    }
-
-    /// [`Accelerator::try_run_with_faults`] with heavy tracing enabled:
-    /// alongside the normal outcome, records windowed per-channel traffic
-    /// timelines, queue-occupancy histograms, and per-lane stage
-    /// attribution timelines ([`RunTrace`]), exportable as
-    /// `chrome://tracing` JSON.
-    ///
-    /// Tracing is observational only — the run's cycles, output, and
-    /// statistics are bit-identical to the untraced entry points.
-    ///
-    /// # Errors
-    ///
-    /// As [`Accelerator::try_run_with_faults`]. No trace is returned for a
-    /// failed run.
+    /// (see [`FaultKind`]). No trace is returned for a failed run.
     #[must_use = "dropping the Result loses both the run outcome and any fault diagnosis"]
     pub fn try_run_traced(
         &self,
@@ -321,7 +290,7 @@ impl Accelerator {
         let mut state = self.fresh_state(&ctx, plan);
         let mut sampler =
             TraceSampler::new(trace_cfg, self.cfg.mem.num_channels, self.cfg.num_lanes);
-        let completed = self.drive_observed(&ctx, &mut state, None, Some(&mut sampler))?;
+        let completed = self.drive_observed(&ctx, &mut state, u64::MAX, Some(&mut sampler))?;
         debug_assert!(completed, "unbounded drive returned without completing");
         let outcome = self.finalize(&ctx, &state)?;
         let attrs: Vec<LaneAttribution> = state.lanes.iter().map(Lane::attribution).collect();
@@ -329,83 +298,41 @@ impl Accelerator {
         Ok((outcome, trace))
     }
 
-    /// Runs until accelerator cycle `at_cycle` and captures a resumable
-    /// [`Checkpoint`] of the full machine state, or `None` if the run
-    /// drained before reaching that cycle.
+    /// Executes one bounded *slice* of a run — the one general run
+    /// primitive: starts fresh (arming `plan`) when `from` is `None`,
+    /// otherwise resumes the given checkpoint, and drives until the
+    /// machine drains or accelerator cycle `until_cycle` is reached —
+    /// whichever comes first.
     ///
-    /// Resuming the checkpoint with [`Accelerator::try_run_from`] yields
-    /// bit-identical cycle counts and output values to the uninterrupted
-    /// run — the replay-determinism invariant of DESIGN.md §9.
+    /// Every run shape is a choice of arguments:
     ///
-    /// # Errors
+    /// * a faulted run to completion: `(plan, None, u64::MAX)`;
+    /// * a resume to completion: `(None, Some(ck), u64::MAX)`;
+    /// * a deadline-bounded run, or a run paused at cycle `k` for a
+    ///   checkpoint: `(plan, None, k)`, where `Paused` carries the machine
+    ///   state at exactly cycle `k`;
+    /// * periodic checkpoints: a chain of slices, each resuming the last
+    ///   `Paused` checkpoint with boundary `ck.cycle() + interval`.
     ///
-    /// As [`Accelerator::try_run`], for failures occurring *before* the
-    /// checkpoint cycle.
-    #[must_use = "dropping the Result loses the checkpoint or the fault diagnosis"]
-    pub fn try_run_to_checkpoint(
-        &self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        plan: Option<&FaultPlan>,
-        at_cycle: u64,
-    ) -> Result<Option<Checkpoint>, SimError> {
-        let ctx = self.prepare_context(a, b)?;
-        let mut state = self.fresh_state(&ctx, plan);
-        if self.drive(&ctx, &mut state, Some(at_cycle))? {
-            Ok(None)
-        } else {
-            Ok(Some(self.snapshot_run(&ctx, &state)))
-        }
-    }
-
-    /// Runs `a * b` under a hard per-job cycle budget: if the machine has
-    /// not drained by accelerator cycle `deadline`, the run is *cancelled*
-    /// — the drive loop pauses at the deadline exactly as the checkpoint
-    /// path does, and the machine state at that cycle is returned as the
-    /// cancellation artifact. This is the cancellation hook the multi-job
-    /// service layer's deadline enforcement is built on: a cancelled job
-    /// costs exactly `deadline` simulated cycles, never more.
+    /// `until_cycle = u64::MAX` never returns `Paused`: the cycle budget
+    /// trips first, so such a slice ends `Completed` or `Err`
+    /// ([`SliceRun::completed`] unwraps it).
     ///
-    /// # Errors
-    ///
-    /// As [`Accelerator::try_run`], for failures occurring *before* the
-    /// deadline cycle.
-    #[must_use = "dropping the Result loses the deadline verdict"]
-    pub fn try_run_deadline(
-        &self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        plan: Option<&FaultPlan>,
-        deadline: u64,
-    ) -> Result<DeadlineRun, SimError> {
-        let ctx = self.prepare_context(a, b)?;
-        let mut state = self.fresh_state(&ctx, plan);
-        if self.drive(&ctx, &mut state, Some(deadline))? {
-            self.finalize(&ctx, &state).map(|outcome| DeadlineRun::Completed(Box::new(outcome)))
-        } else {
-            Ok(DeadlineRun::Cancelled(Box::new(self.snapshot_run(&ctx, &state))))
-        }
-    }
-
-    /// Executes one bounded *slice* of a run: starts fresh (arming `plan`)
-    /// when `from` is `None`, otherwise resumes the given checkpoint, and
-    /// drives until the machine drains or accelerator cycle `until_cycle`
-    /// is reached — whichever comes first.
-    ///
-    /// This is the checkpoint-handoff primitive of the worker fleet: a
-    /// worker runs a job slice-by-slice, heartbeating between slices, and
-    /// on a crash the last `Paused` checkpoint re-dispatches the job to
-    /// any identically-configured worker with bit-identical results
+    /// This is also the checkpoint-handoff primitive of the worker fleet:
+    /// a worker runs a job slice-by-slice, heartbeating between slices,
+    /// and on a crash the last `Paused` checkpoint re-dispatches the job
+    /// to any identically-configured worker with bit-identical results
     /// (DESIGN.md §9 replay invariant — the checkpoint's config and input
     /// fingerprints enforce the "identically configured" part).
     ///
     /// When resuming, `plan` is ignored: armed fault state rides the
-    /// checkpoint, exactly as in [`Accelerator::try_run_from`].
+    /// checkpoint.
     ///
     /// # Errors
     ///
-    /// [`SimError::CheckpointMismatch`] for foreign checkpoints; otherwise
-    /// as [`Accelerator::try_run`], for failures inside the slice.
+    /// [`SimError::CheckpointMismatch`] for foreign checkpoints (operands
+    /// or configuration differ from the checkpointed run); otherwise as
+    /// [`Accelerator::try_run`], for failures inside the slice.
     #[must_use = "dropping the Result loses the slice outcome or pause checkpoint"]
     pub fn try_run_slice(
         &self,
@@ -420,73 +347,10 @@ impl Accelerator {
             Some(checkpoint) => self.restore_run(&ctx, checkpoint)?,
             None => self.fresh_state(&ctx, plan),
         };
-        if self.drive(&ctx, &mut state, Some(until_cycle))? {
+        if self.drive_observed(&ctx, &mut state, until_cycle, None)? {
             self.finalize(&ctx, &state).map(|outcome| SliceRun::Completed(Box::new(outcome)))
         } else {
             Ok(SliceRun::Paused(Box::new(self.snapshot_run(&ctx, &state))))
-        }
-    }
-
-    /// Resumes a run from a [`Checkpoint`] and drives it to completion.
-    ///
-    /// The operands must be the same matrices the checkpoint was taken
-    /// from, under the same configuration; fingerprint mismatches are
-    /// rejected with [`SimError::CheckpointMismatch`] instead of silently
-    /// diverging.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::CheckpointMismatch`] for foreign checkpoints; otherwise
-    /// as [`Accelerator::try_run`].
-    #[must_use = "dropping the Result loses the resumed run outcome"]
-    pub fn try_run_from(
-        &self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        checkpoint: &Checkpoint,
-    ) -> Result<RunOutcome, SimError> {
-        let ctx = self.prepare_context(a, b)?;
-        let mut state = self.restore_run(&ctx, checkpoint)?;
-        let completed = self.drive(&ctx, &mut state, None)?;
-        debug_assert!(completed, "unbounded drive returned without completing");
-        self.finalize(&ctx, &state)
-    }
-
-    /// [`Accelerator::try_run_with_faults`] that additionally takes a
-    /// checkpoint every `every` accelerator cycles (`0` disables
-    /// checkpointing), so a failure returns the last pre-failure machine
-    /// state alongside the error — the entry point of the recovery
-    /// ladder's resume rung.
-    ///
-    /// # Errors
-    ///
-    /// A [`FailedRun`] carrying the [`SimError`] and the most recent
-    /// checkpoint taken before the failure (if any).
-    #[must_use = "dropping the Result loses the run outcome and its checkpoints"]
-    pub fn try_run_with_checkpoints(
-        &self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        plan: Option<&FaultPlan>,
-        every: u64,
-    ) -> Result<RunOutcome, FailedRun> {
-        let ctx = match self.prepare_context(a, b) {
-            Ok(ctx) => ctx,
-            Err(error) => return Err(FailedRun { error, checkpoint: None }),
-        };
-        let mut state = self.fresh_state(&ctx, plan);
-        let mut last: Option<Box<Checkpoint>> = None;
-        loop {
-            let pause = if every == 0 { None } else { Some(state.t + every) };
-            match self.drive(&ctx, &mut state, pause) {
-                Ok(true) => {
-                    return self
-                        .finalize(&ctx, &state)
-                        .map_err(|error| FailedRun { error, checkpoint: last });
-                }
-                Ok(false) => last = Some(Box::new(self.snapshot_run(&ctx, &state))),
-                Err(error) => return Err(FailedRun { error, checkpoint: last }),
-            }
         }
     }
 
@@ -736,23 +600,14 @@ impl Accelerator {
     }
 
     /// Advances the machine cycle by cycle until it drains (`Ok(true)`),
-    /// pauses at `pause_at` (`Ok(false)`), or fails.
+    /// pauses at `pause_at` (`Ok(false)`), or fails. `pause_at = u64::MAX`
+    /// never pauses: the cycle budget trips first.
     ///
     /// The pause point is the **top** of a cycle, before any component has
     /// ticked — the one point where no cross-component state (delivered
     /// responses) is in flight, which is what makes snapshots exact.
-    fn drive(
-        &self,
-        ctx: &RunContext<'_>,
-        state: &mut RunState,
-        pause_at: Option<u64>,
-    ) -> Result<bool, SimError> {
-        self.drive_observed(ctx, state, pause_at, None)
-    }
-
-    /// [`drive`](Accelerator::drive) with an optional trace sampler.
     ///
-    /// Every untraced entry point passes `None`, and the sampler is purely
+    /// Untraced runs pass no `sampler`, and the sampler is purely
     /// observational (it reads counters, never machine state), so the
     /// traced and untraced machines tick bit-identically — the
     /// zero-overhead-when-disabled contract of the observability layer.
@@ -760,7 +615,7 @@ impl Accelerator {
         &self,
         ctx: &RunContext<'_>,
         state: &mut RunState,
-        pause_at: Option<u64>,
+        pause_at: u64,
         mut sampler: Option<&mut TraceSampler>,
     ) -> Result<bool, SimError> {
         let cfg = &self.cfg;
@@ -782,7 +637,7 @@ impl Accelerator {
         } = state;
 
         loop {
-            if pause_at.is_some_and(|k| *t >= k) {
+            if *t >= pause_at {
                 return Ok(false);
             }
             let mem_now = Cycle(*t / ratio);
@@ -876,30 +731,6 @@ impl Accelerator {
                 all_done &= lane_done;
             }
 
-            if std::env::var_os("MATRAPTOR_DEBUG").is_some() && t.is_multiple_of(100_000) {
-                let l0 = &lanes[0];
-                eprintln!(
-                    "t={t} hbm_inflight={} spal={:?} spbl={:?} spal_out={} pe_in={}",
-                    hbm.in_flight(),
-                    l0.spal.debug_state(),
-                    l0.spbl.debug_state(),
-                    l0.spal_out.len(),
-                    l0.pe_in.len()
-                );
-                let ch: Vec<String> = hbm
-                    .channel_stats()
-                    .iter()
-                    .map(|c| {
-                        format!("{:.2}", c.busy_cycles.get() as f64 / ((*t).max(1) / ratio) as f64)
-                    })
-                    .collect();
-                eprintln!(
-                    "  spbl blocked [data, info, staging_full, no_jobs] = {:?}; mean mem latency = {:.1}; ch busy = {:?}",
-                    l0.spbl.blocked,
-                    hbm.stats().mean_latency(),
-                    ch
-                );
-            }
             if all_done && hbm.is_idle() && inboxes.iter().all(Vec::is_empty) {
                 break;
             }
@@ -1203,50 +1034,39 @@ mod tests {
         assert_eq!((outcome.c.rows(), outcome.c.cols()), (40, 30));
     }
 
+    /// Pauses a run of `a * a` at cycle `k` and returns the checkpoint.
+    fn paused_at(accel: &Accelerator, a: &Csr<f64>, k: u64) -> Box<Checkpoint> {
+        match accel.try_run_slice(a, a, None, None, k).expect("bounded slice") {
+            SliceRun::Paused(ck) => ck,
+            SliceRun::Completed(_) => panic!("48x48 product cannot drain in {k} cycles"),
+        }
+    }
+
     #[test]
-    fn checkpoint_before_completion_resumes_to_identical_outcome() {
+    fn paused_slice_resumes_to_identical_outcome() {
         let a = gen::uniform(48, 48, 300, 21);
         let accel = Accelerator::new(MatRaptorConfig::small_test());
         let full = accel.try_run(&a, &a).expect("clean run");
-        let ck = accel
-            .try_run_to_checkpoint(&a, &a, None, 64)
-            .expect("checkpointing run")
-            .expect("run longer than 64 cycles");
-        assert_eq!(ck.cycle(), 64);
-        let resumed = accel.try_run_from(&a, &a, &ck).expect("resume");
+        let ck = paused_at(&accel, &a, 64);
+        assert_eq!(ck.cycle(), 64, "the pause is exact: the boundary cycle");
+        let resumed = accel
+            .try_run_slice(&a, &a, None, Some(&ck), u64::MAX)
+            .and_then(SliceRun::completed)
+            .expect("resume");
         assert_eq!(resumed.stats.total_cycles, full.stats.total_cycles);
         assert_eq!(resumed.c, full.c);
     }
 
     #[test]
-    fn checkpoint_after_completion_is_none() {
-        let eye = Csr::<f64>::identity(8);
-        let accel = Accelerator::new(MatRaptorConfig::small_test());
-        let ck = accel.try_run_to_checkpoint(&eye, &eye, None, u64::MAX).expect("run");
-        assert!(ck.is_none(), "run should drain before u64::MAX cycles");
-    }
-
-    #[test]
-    fn deadline_run_cancels_at_the_deadline_and_is_resumable() {
+    fn unbounded_slice_never_pauses() {
         let a = gen::uniform(48, 48, 300, 21);
         let accel = Accelerator::new(MatRaptorConfig::small_test());
         let full = accel.try_run(&a, &a).expect("clean run");
-        match accel.try_run_deadline(&a, &a, None, 64).expect("bounded run") {
-            DeadlineRun::Cancelled(ck) => {
-                assert_eq!(ck.cycle(), 64, "cancellation is exact: the deadline cycle");
-                // Cancelled work is a checkpoint — resuming it finishes
-                // the run bit-identically to the unbounded machine.
-                let resumed = accel.try_run_from(&a, &a, &ck).expect("resume");
-                assert_eq!(resumed.stats.total_cycles, full.stats.total_cycles);
-                assert_eq!(resumed.c, full.c);
-            }
-            DeadlineRun::Completed(_) => panic!("48x48 product cannot drain in 64 cycles"),
-        }
-        match accel.try_run_deadline(&a, &a, None, u64::MAX).expect("bounded run") {
-            DeadlineRun::Completed(outcome) => {
+        match accel.try_run_slice(&a, &a, None, None, u64::MAX).expect("run") {
+            SliceRun::Completed(outcome) => {
                 assert_eq!(outcome.stats.total_cycles, full.stats.total_cycles);
             }
-            DeadlineRun::Cancelled(_) => panic!("run should drain before u64::MAX"),
+            SliceRun::Paused(_) => panic!("run should drain before u64::MAX cycles"),
         }
     }
 
@@ -1255,11 +1075,8 @@ mod tests {
         let a = gen::uniform(48, 48, 300, 22);
         let other = gen::uniform(48, 48, 300, 23);
         let accel = Accelerator::new(MatRaptorConfig::small_test());
-        let ck = accel
-            .try_run_to_checkpoint(&a, &a, None, 64)
-            .expect("checkpointing run")
-            .expect("checkpoint");
-        match accel.try_run_from(&other, &other, &ck) {
+        let ck = paused_at(&accel, &a, 64);
+        match accel.try_run_slice(&other, &other, None, Some(&ck), u64::MAX) {
             Err(SimError::CheckpointMismatch { .. }) => {}
             other => panic!("expected CheckpointMismatch, got {other:?}"),
         }

@@ -86,9 +86,9 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// A resumable machine state. Opaque: produced by
-/// [`crate::Accelerator::try_run_to_checkpoint`] (or the checkpointing
-/// run loop) and consumed by [`crate::Accelerator::try_run_from`].
+/// A resumable machine state. Opaque: produced by a slice that paused
+/// ([`crate::SliceRun::Paused`]) and consumed by a later
+/// [`crate::Accelerator::try_run_slice`] that resumes it.
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     pub(crate) state: CheckpointState,

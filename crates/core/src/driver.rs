@@ -12,7 +12,7 @@ use matraptor_mem::HbmConfig;
 use matraptor_sim::stats::CycleBreakdown;
 use matraptor_sparse::{spgemm, C2sr, Csr, SparseError};
 
-use crate::accel::{Accelerator, DeadlineRun, FailedRun, RunOutcome, SliceRun};
+use crate::accel::{Accelerator, RunOutcome, SliceRun};
 use crate::checkpoint::Checkpoint;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
@@ -135,15 +135,6 @@ pub enum DriverError {
     /// The accelerator declared a fault mid-run and terminated with a
     /// structured diagnostic instead of an output.
     AcceleratorFault(SimError),
-    /// A deadline-bounded launch did not finish within its cycle budget
-    /// and was cancelled at the deadline (see
-    /// [`Driver::launch_with_deadline`]). This is a *scheduling* outcome,
-    /// not a hardware fault: the machine was healthy, the job was simply
-    /// too expensive for the budget it was admitted under.
-    DeadlineExceeded {
-        /// The cycle budget the job was cancelled at.
-        deadline_cycles: u64,
-    },
 }
 
 impl std::fmt::Display for DriverError {
@@ -156,9 +147,6 @@ impl std::fmt::Display for DriverError {
             ),
             DriverError::InvalidInput(e) => write!(f, "input matrix rejected: {e}"),
             DriverError::AcceleratorFault(e) => write!(f, "accelerator fault: {e}"),
-            DriverError::DeadlineExceeded { deadline_cycles } => {
-                write!(f, "job cancelled at its deadline of {deadline_cycles} cycles")
-            }
         }
     }
 }
@@ -186,8 +174,8 @@ pub struct RecoveryPolicy {
     /// not burned in the simulator.
     pub backoff_base_cycles: u64,
     /// Take a checkpoint every this many accelerator cycles during the
-    /// first attempt, enabling the resume rung. `None` disables
-    /// checkpointing, so transient faults restart from scratch.
+    /// first attempt, enabling the resume rung. `None` (or `Some(0)`)
+    /// disables checkpointing, so transient faults restart from scratch.
     pub checkpoint_interval: Option<u64>,
 }
 
@@ -230,7 +218,7 @@ pub struct RecoveryAttempt {
     pub fault: Option<SimError>,
 }
 
-/// What [`Driver::launch_with_recovery`] did to finish a run: the full
+/// What [`Driver::launch_with_policy`] did to finish a run: the full
 /// attempt trail, plus summary flags for the common questions (did it
 /// degrade? resume? fall back to software?).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -294,45 +282,9 @@ impl<'a> Driver<'a> {
     /// terminates the run abnormally (deadlock, queue overflow, corrupted
     /// output, ...).
     pub fn launch(&mut self, a: &Csr<f64>, b: &Csr<f64>) -> Result<RunOutcome, DriverError> {
-        self.preflight(a, b)?;
-        let outcome = self.accel.try_run(a, b).map_err(DriverError::AcceleratorFault)?;
-        // Completion: hardware clears the start bit.
-        self.regs.x0 = 0;
-        Ok(outcome)
-    }
-
-    /// [`Driver::launch`] under a hard per-job cycle budget: the run is
-    /// cancelled at accelerator cycle `deadline_cycles` if it has not
-    /// drained by then, via the checkpoint pause path
-    /// ([`Accelerator::try_run_deadline`]). A cancelled job costs exactly
-    /// the deadline in simulated cycles — the cancellation hook the
-    /// multi-job service layer's admission deadlines rely on. `plan`
-    /// optionally arms an injected fault, as in
-    /// [`Driver::launch_with_recovery`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Driver::launch`] reports, plus
-    /// [`DriverError::DeadlineExceeded`] when the budget expires first.
-    pub fn launch_with_deadline(
-        &mut self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        plan: Option<&FaultPlan>,
-        deadline_cycles: u64,
-    ) -> Result<RunOutcome, DriverError> {
-        self.preflight(a, b)?;
-        match self.accel.try_run_deadline(a, b, plan, deadline_cycles) {
-            Ok(DeadlineRun::Completed(outcome)) => {
-                self.regs.x0 = 0;
-                Ok(*outcome)
-            }
-            // The cancellation checkpoint is dropped here: the driver's
-            // contract is cancel-and-report. Callers that want to resume
-            // cancelled work use `Accelerator::try_run_deadline` directly.
-            Ok(DeadlineRun::Cancelled(_)) => Err(DriverError::DeadlineExceeded { deadline_cycles }),
-            Err(e) => Err(DriverError::AcceleratorFault(e)),
-        }
+        self.launch_slice(a, b, None, None, u64::MAX)?
+            .completed()
+            .map_err(DriverError::AcceleratorFault)
     }
 
     /// Slice-wise driver re-entry ([`Accelerator::try_run_slice`]): runs
@@ -341,6 +293,10 @@ impl<'a> Driver<'a> {
     /// start bit stays set across paused slices — the job is still in
     /// flight from the host's point of view — and is cleared only when a
     /// slice completes the run, mirroring [`Driver::launch`].
+    ///
+    /// A deadline-bounded launch is a fresh slice with `until_cycle` set
+    /// to the deadline: `Paused` means the job was cancelled at exactly
+    /// that cycle, and its checkpoint can resume the cancelled work.
     ///
     /// Each re-entry repeats the full preflight (start bit, dimension
     /// registers, input structure): a fleet re-dispatching a checkpoint to
@@ -373,12 +329,16 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// [`Driver::launch`] with the default [`RecoveryPolicy`]: transient
+    /// [`Driver::launch`] with a [`RecoveryPolicy`] ladder: transient
     /// faults resume from the last checkpoint, persistent faults walk the
     /// degradation ladder down to a host-software fallback.
     ///
     /// `plan` injects a fault into the *first* attempt only (the
-    /// transient-fault model); retries run clean hardware.
+    /// transient-fault model); retries run clean hardware. The first
+    /// attempt is a chain of slices, each `checkpoint_interval` cycles
+    /// long, so a failure leaves the last checkpoint before it for the
+    /// resume rung; by the replay invariant (DESIGN.md §9) the chain ends
+    /// exactly as one unbounded run would.
     ///
     /// # Errors
     ///
@@ -388,20 +348,6 @@ impl<'a> Driver<'a> {
     /// fault.
     ///
     /// [`AcceleratorFault`]: DriverError::AcceleratorFault
-    pub fn launch_with_recovery(
-        &mut self,
-        a: &Csr<f64>,
-        b: &Csr<f64>,
-        plan: Option<&FaultPlan>,
-    ) -> Result<(RunOutcome, RecoveryReport), DriverError> {
-        self.launch_with_policy(a, b, plan, &RecoveryPolicy::default())
-    }
-
-    /// [`Driver::launch_with_recovery`] under an explicit policy.
-    ///
-    /// # Errors
-    ///
-    /// As [`Driver::launch_with_recovery`].
     pub fn launch_with_policy(
         &mut self,
         a: &Csr<f64>,
@@ -420,22 +366,30 @@ impl<'a> Driver<'a> {
             used_cpu_fallback: false,
         };
 
-        // Attempt 1: the full machine, with the injected fault (if any)
-        // and periodic checkpoints so a transient failure can resume.
-        let every = policy.checkpoint_interval.unwrap_or(0);
-        let (first_fault, checkpoint) = match self.accel.try_run_with_checkpoints(a, b, plan, every)
-        {
-            Ok(outcome) => {
-                self.regs.x0 = 0;
-                report.trail.push(RecoveryAttempt {
-                    attempt: 1,
-                    action: RecoveryAction::Full,
-                    backoff_cycles: 0,
-                    fault: None,
-                });
-                return Ok((outcome, report));
+        // Attempt 1: the full machine, with the injected fault (if any),
+        // sliced at the checkpoint interval so a transient failure can
+        // resume. No interval (or a zero one) is one unbounded slice.
+        let interval = policy.checkpoint_interval.filter(|&n| n > 0);
+        let mut checkpoint: Option<Box<Checkpoint>> = None;
+        let first_fault = loop {
+            let until = match interval {
+                Some(n) => checkpoint.as_ref().map_or(0, |ck| ck.cycle()).saturating_add(n),
+                None => u64::MAX,
+            };
+            match self.accel.try_run_slice(a, b, plan, checkpoint.as_deref(), until) {
+                Ok(SliceRun::Completed(outcome)) => {
+                    self.regs.x0 = 0;
+                    report.trail.push(RecoveryAttempt {
+                        attempt: 1,
+                        action: RecoveryAction::Full,
+                        backoff_cycles: 0,
+                        fault: None,
+                    });
+                    return Ok((*outcome, report));
+                }
+                Ok(SliceRun::Paused(ck)) => checkpoint = Some(ck),
+                Err(fault) => break fault,
             }
-            Err(FailedRun { error, checkpoint }) => (error, checkpoint),
         };
         report.trail.push(RecoveryAttempt {
             attempt: 1,
@@ -485,9 +439,12 @@ impl<'a> Driver<'a> {
             let backoff = policy.backoff_base_cycles << (report.attempts - 2).min(16);
             report.backoff_cycles = report.backoff_cycles.saturating_add(backoff);
             let (action, result) = match rung {
-                Rung::Resume(ck) => {
-                    (RecoveryAction::ResumeCheckpoint, self.accel.try_run_from(a, b, &ck))
-                }
+                Rung::Resume(ck) => (
+                    RecoveryAction::ResumeCheckpoint,
+                    self.accel
+                        .try_run_slice(a, b, None, Some(&ck), u64::MAX)
+                        .and_then(SliceRun::completed),
+                ),
                 Rung::Lanes(n) => {
                     let mut cfg = self.accel.config().clone();
                     cfg.num_lanes = n;
@@ -711,6 +668,32 @@ mod tests {
     }
 
     #[test]
+    fn zero_checkpoint_interval_is_one_unbounded_slice() {
+        use crate::fault::{FaultKind, FaultPlan};
+        let a = gen::uniform(32, 32, 200, 5);
+        let mut cfg = MatRaptorConfig::small_test();
+        cfg.watchdog_window = 2_000;
+        let accel = Accelerator::new(cfg);
+        let plan = FaultPlan::sample(FaultKind::ChannelStall, 7, accel.config().num_lanes);
+        // `Some(0)` must neither loop at a zero-length boundary nor offer
+        // a resume rung: the ladder is exactly the no-checkpoint one.
+        let launch = |interval: Option<u64>| {
+            let mut d = Driver::new(&accel);
+            d.mtx(MtxWrite::ARows(32));
+            d.mtx(MtxWrite::BRows(32));
+            d.mtx(MtxWrite::X0(1));
+            let policy =
+                RecoveryPolicy { checkpoint_interval: interval, ..RecoveryPolicy::default() };
+            let (outcome, report) =
+                d.launch_with_policy(&a, &a, Some(&plan), &policy).expect("recovered");
+            (outcome.stats, report)
+        };
+        let (stats, report) = launch(Some(0));
+        assert!(!report.resumed_from_checkpoint);
+        assert_eq!((stats, report), launch(None));
+    }
+
+    #[test]
     fn deadline_launch_cancels_slow_jobs_and_passes_fast_ones() {
         let a = gen::uniform(32, 32, 200, 4);
         let accel = Accelerator::new(MatRaptorConfig::small_test());
@@ -718,15 +701,20 @@ mod tests {
         d.mtx(MtxWrite::ARows(32));
         d.mtx(MtxWrite::BRows(32));
         d.mtx(MtxWrite::X0(1));
-        // A 100-cycle budget cannot cover the product: cancelled.
-        match d.launch_with_deadline(&a, &a, None, 100) {
-            Err(DriverError::DeadlineExceeded { deadline_cycles: 100 }) => {}
+        // A 100-cycle budget cannot cover the product: cancelled at
+        // exactly the deadline.
+        match d.launch_slice(&a, &a, None, None, 100) {
+            Ok(SliceRun::Paused(ck)) => assert_eq!(ck.cycle(), 100),
             other => panic!("expected deadline cancellation, got {other:?}"),
         }
         // The start bit stays set — the job never completed.
         assert_eq!(d.registers().x0, 1);
         // A generous budget lets the same job finish normally.
-        let outcome = d.launch_with_deadline(&a, &a, None, u64::MAX).expect("within deadline");
+        let outcome = d
+            .launch_slice(&a, &a, None, None, u64::MAX)
+            .expect("within deadline")
+            .completed()
+            .expect("an unbounded slice completes");
         assert!(outcome.c.approx_eq(&spgemm::gustavson(&a, &a), 1e-9));
         assert_eq!(d.registers().x0, 0);
     }
@@ -745,7 +733,7 @@ mod tests {
         let plan = FaultPlan::sample(FaultKind::ChannelStall, 7, accel.config().num_lanes);
         // Watchdog (2k window) fires long before the generous deadline, so
         // the fault wins and is reported as a fault, not a cancellation.
-        match d.launch_with_deadline(&a, &a, Some(&plan), u64::MAX) {
+        match d.launch_slice(&a, &a, Some(&plan), None, u64::MAX) {
             Err(DriverError::AcceleratorFault(SimError::Deadlock(_))) => {}
             other => panic!("expected deadlock fault, got {other:?}"),
         }
@@ -759,7 +747,8 @@ mod tests {
         d.mtx(MtxWrite::ARows(24));
         d.mtx(MtxWrite::BRows(24));
         d.mtx(MtxWrite::X0(1));
-        let (outcome, report) = d.launch_with_recovery(&a, &a, None).expect("clean");
+        let (outcome, report) =
+            d.launch_with_policy(&a, &a, None, &RecoveryPolicy::default()).expect("clean");
         assert_eq!(
             report,
             RecoveryReport {
@@ -792,7 +781,7 @@ mod tests {
         d.mtx(MtxWrite::ARows(32));
         d.mtx(MtxWrite::BRows(32));
         d.mtx(MtxWrite::X0(1));
-        match d.launch_with_recovery(&a, &b, None) {
+        match d.launch_with_policy(&a, &b, None, &RecoveryPolicy::default()) {
             Err(DriverError::AcceleratorFault(SimError::MalformedInput(_))) => {}
             other => panic!("expected un-retried MalformedInput, got {other:?}"),
         }
@@ -814,7 +803,9 @@ mod tests {
         d.mtx(MtxWrite::BRows(32));
         d.mtx(MtxWrite::X0(1));
         let plan = FaultPlan::sample(FaultKind::QueueOverflowForce, 11, 1);
-        let (outcome, report) = d.launch_with_recovery(&a, &a, Some(&plan)).expect("fell back");
+        let (outcome, report) = d
+            .launch_with_policy(&a, &a, Some(&plan), &RecoveryPolicy::default())
+            .expect("fell back");
         assert!(report.used_cpu_fallback);
         assert!(report.degraded);
         assert_eq!(report.attempts, 2);
@@ -836,11 +827,9 @@ mod tests {
         assert!(fault.to_string().contains("accelerator fault"));
         let invalid = DriverError::InvalidInput(SparseError::NonFiniteValue { row: 0, col: 1 });
         assert!(invalid.to_string().contains("rejected"));
-        let late = DriverError::DeadlineExceeded { deadline_cycles: 512 };
-        assert!(late.to_string().contains("deadline") && late.to_string().contains("512"));
         // All variants usable as a trait object (the `Box<dyn Error>`
         // plumbing downstream tooling relies on).
-        for e in [not_started, dim, fault, invalid, late] {
+        for e in [not_started, dim, fault, invalid] {
             let boxed: Box<dyn std::error::Error> = Box::new(e);
             assert!(!boxed.to_string().is_empty());
         }

@@ -12,7 +12,7 @@
 //! Layering note: the memory-side effects compile into the plain-data
 //! [`MemFaults`] schedule (the `mem` crate cannot depend on the RNG, which
 //! lives in `sparse`); stream/queue/writer effects are interpreted by
-//! `Accelerator::try_run_with_faults` in this crate.
+//! a fresh `Accelerator::try_run_slice` in this crate.
 
 use matraptor_mem::{FaultWindow, MemFaults};
 use matraptor_sparse::rng::ChaCha8Rng;
@@ -81,7 +81,7 @@ pub struct FaultPlan {
     /// The seed this plan was sampled from (recorded for reports).
     pub seed: u64,
     /// Target channel (memory faults) or lane (stream/queue/writer
-    /// faults). `Accelerator::try_run_with_faults` remaps a lane with no
+    /// faults). A fresh `Accelerator::try_run_slice` remaps a lane with no
     /// assigned work to the busiest one so the fault always engages.
     pub site: usize,
     /// First memory cycle a memory fault is active.
@@ -173,9 +173,9 @@ pub fn classify(kind: FaultKind, result: &Result<RunOutcome, SimError>) -> Verdi
         Ok(_) => match kind {
             FaultKind::BurstRefusal => Verdict::Survived,
             // Overflow with the CPU fallback available completes with a
-            // correct (verified) result; `try_run_with_faults` only
-            // disables the fallback for QueueOverflowForce plans, in which
-            // case the run errors and lands in `Detected` above.
+            // correct (verified) result; a faulted run only disables the
+            // fallback for QueueOverflowForce plans, in which case the run
+            // errors and lands in `Detected` above.
             FaultKind::QueueOverflowForce => Verdict::Survived,
             FaultKind::ChannelStall
             | FaultKind::StreamTruncation

@@ -278,11 +278,6 @@ impl SpAl {
         (self.in_flight, self.staging.len(), self.rows.len().saturating_sub(self.data_cursor))
     }
 
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> (usize, usize, usize, usize) {
-        (self.in_flight, self.staging.len(), self.data_cursor, self.info_cursor)
-    }
-
     /// Captures all mutable state for a checkpoint. The lane index, row
     /// assignment, and budgets are rebuilt by [`SpAl::new`] on restore.
     pub(crate) fn snapshot(&self) -> SpAlState {

@@ -337,21 +337,6 @@ impl SpBl {
         &self.attribution
     }
 
-    #[doc(hidden)]
-    pub fn debug_state(&self) -> (usize, usize, usize, bool, bool, u32, u32, u32) {
-        let f = self.jobs.front();
-        (
-            self.in_flight,
-            self.jobs.len(),
-            self.staging.len(),
-            f.map(|j| j.info_ready).unwrap_or(false),
-            f.map(|j| j.plan.is_some()).unwrap_or(false),
-            f.map(|j| j.len).unwrap_or(0),
-            f.map(|j| j.ready_entries).unwrap_or(0),
-            f.map(|j| j.drained_entries).unwrap_or(0),
-        )
-    }
-
     /// Whether all accepted jobs have been fully forwarded.
     pub(crate) fn is_done(&self) -> bool {
         self.jobs.is_empty() && self.staging.is_empty() && self.in_flight == 0

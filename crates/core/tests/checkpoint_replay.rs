@@ -5,8 +5,8 @@
 //! DESIGN.md §9, and the CI `checkpoint-replay` job runs this file.
 
 use matraptor_core::{
-    Accelerator, Checkpoint, CheckpointError, FaultKind, FaultPlan, MatRaptorConfig, SimError,
-    CHECKPOINT_VERSION,
+    Accelerator, Checkpoint, CheckpointError, FaultKind, FaultPlan, MatRaptorConfig,
+    MatRaptorStats, RunOutcome, SimError, SliceRun, CHECKPOINT_VERSION,
 };
 use matraptor_sparse::{gen, Csr};
 
@@ -22,6 +22,51 @@ fn value_bits(c: &Csr<f64>) -> Vec<u64> {
     c.values().iter().map(|v| v.to_bits()).collect()
 }
 
+/// A fresh run of `a * b` (with `plan` armed, if any) paused at cycle `k`.
+fn pause_at(
+    accel: &Accelerator,
+    a: &Csr<f64>,
+    b: &Csr<f64>,
+    plan: Option<&FaultPlan>,
+    k: u64,
+) -> Box<Checkpoint> {
+    match accel.try_run_slice(a, b, plan, None, k).expect("checkpointing run") {
+        SliceRun::Paused(ck) => ck,
+        SliceRun::Completed(_) => panic!("run should not drain before cycle {k}"),
+    }
+}
+
+/// Resumes `ck` and drives it to completion.
+fn resume(
+    accel: &Accelerator,
+    a: &Csr<f64>,
+    b: &Csr<f64>,
+    ck: &Checkpoint,
+) -> Result<RunOutcome, SimError> {
+    accel.try_run_slice(a, b, None, Some(ck), u64::MAX).and_then(SliceRun::completed)
+}
+
+/// Runs `a * b` with `plan` armed as a chain of `slice`-cycle slices, each
+/// resuming the checkpoint the previous one paused at. Returns how the
+/// chain ended and the last checkpoint taken before that.
+fn run_chained(
+    accel: &Accelerator,
+    a: &Csr<f64>,
+    b: &Csr<f64>,
+    plan: &FaultPlan,
+    slice: u64,
+) -> (Result<RunOutcome, SimError>, Option<Box<Checkpoint>>) {
+    let mut last: Option<Box<Checkpoint>> = None;
+    loop {
+        let until = last.as_ref().map_or(0, |ck| ck.cycle()) + slice;
+        match accel.try_run_slice(a, b, Some(plan), last.as_deref(), until) {
+            Ok(SliceRun::Completed(outcome)) => return (Ok(*outcome), last),
+            Ok(SliceRun::Paused(ck)) => last = Some(ck),
+            Err(e) => return (Err(e), last),
+        }
+    }
+}
+
 /// The tentpole invariant, at several snapshot cycles including ones that
 /// land mid-burst, mid-row, and near the drain: pause at k, round-trip
 /// the checkpoint through bytes, resume, and compare everything.
@@ -33,10 +78,7 @@ fn replay_is_bit_identical_across_snapshot_cycles() {
     let total = full.stats.total_cycles;
     assert!(total > 1_000, "test matrices should run for a while, got {total}");
     for k in [1, 64, 333, total / 2, total - 2] {
-        let ck = accel
-            .try_run_to_checkpoint(&a, &b, None, k)
-            .expect("checkpointing run")
-            .unwrap_or_else(|| panic!("run should not drain before cycle {k}"));
+        let ck = pause_at(&accel, &a, &b, None, k);
         assert_eq!(ck.cycle(), k);
         assert_eq!(ck.version(), CHECKPOINT_VERSION);
         // Serialize → deserialize: resume must work from the persisted
@@ -44,7 +86,7 @@ fn replay_is_bit_identical_across_snapshot_cycles() {
         let bytes = ck.to_bytes();
         let ck = Checkpoint::from_bytes(&bytes).expect("round-trip");
         assert_eq!(ck.cycle(), k);
-        let resumed = accel.try_run_from(&a, &b, &ck).expect("resume");
+        let resumed = resume(&accel, &a, &b, &ck).expect("resume");
         assert_eq!(resumed.stats.total_cycles, total, "cycle count diverged at k={k}");
         assert_eq!(resumed.stats.breakdown, full.stats.breakdown, "breakdown diverged at k={k}");
         assert_eq!(resumed.stats.bytes_read, full.stats.bytes_read);
@@ -63,20 +105,20 @@ fn faulted_run_resumes_bit_identically() {
     let (a, b) = test_matrices();
     let accel = accel();
     let plan = FaultPlan::sample(FaultKind::BurstRefusal, 5, 2);
-    let full = accel.try_run_with_faults(&a, &b, Some(&plan)).expect("survivable fault");
+    let full = accel
+        .try_run_slice(&a, &b, Some(&plan), None, u64::MAX)
+        .and_then(SliceRun::completed)
+        .expect("survivable fault");
     let k = full.stats.total_cycles / 3;
-    let ck = accel
-        .try_run_to_checkpoint(&a, &b, Some(&plan), k)
-        .expect("checkpointing run")
-        .expect("checkpoint");
-    let resumed = accel.try_run_from(&a, &b, &ck).expect("resume");
+    let ck = pause_at(&accel, &a, &b, Some(&plan), k);
+    let resumed = resume(&accel, &a, &b, &ck).expect("resume");
     assert_eq!(resumed.stats.total_cycles, full.stats.total_cycles);
     assert_eq!(value_bits(&resumed.c), value_bits(&full.c));
 }
 
-/// `try_run_with_checkpoints` hands the last pre-failure checkpoint to
-/// the caller, and disarming its fault state lets the resume complete —
-/// the recovery ladder's resume rung, exercised end to end.
+/// A chain of slices leaves the last pre-failure checkpoint with the
+/// caller, and disarming its fault state lets the resume complete — the
+/// recovery ladder's resume rung, exercised end to end.
 #[test]
 fn disarmed_checkpoint_resumes_past_a_channel_stall() {
     let (a, b) = test_matrices();
@@ -84,19 +126,60 @@ fn disarmed_checkpoint_resumes_past_a_channel_stall() {
     cfg.watchdog_window = 2_000;
     let accel = Accelerator::new(cfg);
     let plan = FaultPlan::sample(FaultKind::ChannelStall, 7, 2);
-    let failed = accel
-        .try_run_with_checkpoints(&a, &b, Some(&plan), 256)
-        .expect_err("a permanent stall must fail");
-    assert!(matches!(failed.error, SimError::Deadlock(_)));
-    let mut ck = failed.checkpoint.expect("checkpoints were taken before the wedge");
+    let (failed, last) = run_chained(&accel, &a, &b, &plan, 256);
+    assert!(matches!(failed, Err(SimError::Deadlock(_))), "a permanent stall must fail");
+    let mut ck = last.expect("checkpoints were taken before the wedge");
     ck.disarm_faults();
-    let recovered = accel.try_run_from(&a, &b, &ck).expect("disarmed resume completes");
+    let recovered = resume(&accel, &a, &b, &ck).expect("disarmed resume completes");
     // The timeline differs from a clean run (the stall was real until the
     // checkpoint), but the functional output must be correct.
     let clean = accel.try_run(&a, &b).expect("clean run");
     assert_eq!(recovered.c.row_ptr(), clean.c.row_ptr());
     assert_eq!(recovered.c.col_idx(), clean.c.col_idx());
     assert!(recovered.c.approx_eq(&clean.c, 1e-9));
+}
+
+/// Everything a run's result says, compared exactly: cycles, statistics
+/// and output value bits, or the full error (deadlock diagnostic
+/// included).
+type RunSummary = Result<(MatRaptorStats, Vec<usize>, Vec<u32>, Vec<u64>), SimError>;
+
+fn summarise(result: Result<RunOutcome, SimError>) -> RunSummary {
+    result.map(|o| (o.stats, o.c.row_ptr().to_vec(), o.c.col_idx().to_vec(), value_bits(&o.c)))
+}
+
+/// The recovery ladder's first attempt is a chain of slices, so chaining
+/// must be the same machine as one unbounded run under every fault kind:
+/// slices of 97 cycles (never aligned with the watchdog stride or the
+/// memory clock) and 256 cycles, started from the same plan, end in the
+/// same `Result` — identical cycles, stats and value bits, or an equal
+/// `SimError`.
+#[test]
+fn chained_slices_match_an_unbounded_run_under_every_fault_kind() {
+    let (a, b) = test_matrices();
+    let mut cfg = MatRaptorConfig::small_test();
+    cfg.watchdog_window = 2_000;
+    let lanes = cfg.num_lanes;
+    let accel = Accelerator::new(cfg);
+    for kind in FaultKind::ALL {
+        for seed in 0..3u64 {
+            let plan = FaultPlan::sample(kind, seed, lanes);
+            let full = summarise(
+                accel
+                    .try_run_slice(&a, &b, Some(&plan), None, u64::MAX)
+                    .and_then(SliceRun::completed),
+            );
+            for slice in [97, 256] {
+                let (chained, _) = run_chained(&accel, &a, &b, &plan, slice);
+                assert_eq!(
+                    summarise(chained),
+                    full,
+                    "{} seed {seed}: {slice}-cycle slices diverged from the unbounded run",
+                    kind.name()
+                );
+            }
+        }
+    }
 }
 
 /// Checkpoints are rejected loudly, never resumed wrongly: foreign
@@ -106,14 +189,11 @@ fn disarmed_checkpoint_resumes_past_a_channel_stall() {
 fn checkpoint_rejection_paths() {
     let (a, b) = test_matrices();
     let accel = accel();
-    let ck = accel
-        .try_run_to_checkpoint(&a, &b, None, 64)
-        .expect("checkpointing run")
-        .expect("checkpoint");
+    let ck = pause_at(&accel, &a, &b, None, 64);
 
     // Wrong operands: fingerprint mismatch.
     let (other_a, other_b) = (gen::uniform(48, 48, 400, 90), gen::uniform(48, 48, 400, 91));
-    match accel.try_run_from(&other_a, &other_b, &ck) {
+    match resume(&accel, &other_a, &other_b, &ck) {
         Err(SimError::CheckpointMismatch { .. }) => {}
         other => panic!("expected CheckpointMismatch, got {other:?}"),
     }
@@ -121,7 +201,7 @@ fn checkpoint_rejection_paths() {
     // Wrong configuration: also a fingerprint mismatch.
     let mut cfg = MatRaptorConfig::small_test();
     cfg.coupling_fifo_depth += 1;
-    match Accelerator::new(cfg).try_run_from(&a, &b, &ck) {
+    match resume(&Accelerator::new(cfg), &a, &b, &ck) {
         Err(SimError::CheckpointMismatch { .. }) => {}
         other => panic!("expected CheckpointMismatch, got {other:?}"),
     }

@@ -71,7 +71,10 @@ fn zero_length_slice_pauses_at_cycle_zero_and_resumes_identically() {
         SliceRun::Completed(_) => panic!("a zero-length slice cannot complete a real job"),
     };
     assert_eq!(ck.cycle(), 0, "nothing executed before the pause");
-    let resumed = accel.try_run_from(&a, &b, &ck).expect("resume from cycle 0");
+    let resumed = accel
+        .try_run_slice(&a, &b, None, Some(&ck), u64::MAX)
+        .and_then(SliceRun::completed)
+        .expect("resume from cycle 0");
     assert_eq!(resumed.stats.total_cycles, full.stats.total_cycles);
     assert_eq!(resumed.c.row_ptr(), full.c.row_ptr());
     assert_eq!(resumed.c.col_idx(), full.c.col_idx());

@@ -13,7 +13,7 @@
 //!    strict replay covers them.
 
 use matraptor_core::{
-    Accelerator, FaultKind, FaultPlan, LaneAttribution, MatRaptorConfig, TraceConfig,
+    Accelerator, FaultKind, FaultPlan, LaneAttribution, MatRaptorConfig, SliceRun, TraceConfig,
 };
 use matraptor_sparse::gen::suite::table2;
 use matraptor_sparse::{gen, Csr};
@@ -106,7 +106,8 @@ fn attribution_totality_survives_every_fault_kind() {
             let plan = FaultPlan::sample(kind, 11 ^ seed, lanes);
             // Detected faults abort without stats — nothing to check; any
             // run that *completes* must still account for every cycle.
-            if let Ok(outcome) = accel.try_run_with_faults(&a, &b, Some(&plan)) {
+            let run = accel.try_run_slice(&a, &b, Some(&plan), None, u64::MAX);
+            if let Ok(outcome) = run.and_then(SliceRun::completed) {
                 completed += 1;
                 assert_totality(
                     &format!("{}/seed{}", kind.name(), seed),
@@ -128,12 +129,15 @@ fn attribution_survives_checkpoint_restore() {
     let b: Csr<f64> = gen::uniform(48, 48, 400, 22);
     let full = accel.try_run(&a, &b).expect("clean run");
     let half = full.stats.total_cycles / 2;
-    let ck = accel
-        .try_run_to_checkpoint(&a, &b, None, half)
-        .expect("checkpointing run")
-        .expect("run reaches the halfway cycle");
+    let ck = match accel.try_run_slice(&a, &b, None, None, half).expect("checkpointing run") {
+        SliceRun::Paused(ck) => ck,
+        SliceRun::Completed(_) => panic!("run should reach the halfway cycle"),
+    };
     let ck = matraptor_core::Checkpoint::from_bytes(&ck.to_bytes()).expect("round-trip");
-    let resumed = accel.try_run_from(&a, &b, &ck).expect("resume");
+    let resumed = accel
+        .try_run_slice(&a, &b, None, Some(&ck), u64::MAX)
+        .and_then(SliceRun::completed)
+        .expect("resume");
     assert_eq!(
         resumed.stats.per_lane_attribution, full.stats.per_lane_attribution,
         "attribution buckets must be identical across pause/serialize/resume"

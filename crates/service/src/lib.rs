@@ -13,8 +13,9 @@
 //!   buffer;
 //! * **deadlines** — each job gets a cycle budget from a cheap flop
 //!   estimate ([`estimate_flops`]) and the tenant's [`DeadlinePolicy`];
-//!   jobs that blow it are cancelled *mid-flight* through the driver's
-//!   checkpoint-based [`launch_with_deadline`] path;
+//!   jobs that blow it are cancelled *mid-flight*: the driver runs each
+//!   job as one [`launch_slice`] bounded at its deadline, and a paused
+//!   slice is a cancellation;
 //! * **fair scheduling** — a deficit-round-robin scheduler over weighted
 //!   tenants, so one tenant's burst cannot starve the others;
 //! * **circuit breaking** — repeated accelerator faults open a
@@ -44,7 +45,7 @@
 //! SLO reports (see EXPERIMENTS.md).
 //!
 //! [`SimClock`]: matraptor_sim::SimClock
-//! [`launch_with_deadline`]: matraptor_core::Driver::launch_with_deadline
+//! [`launch_slice`]: matraptor_core::Driver::launch_slice
 //! [`FaultPlan`]: matraptor_core::FaultPlan
 
 #![warn(missing_docs)]

@@ -401,14 +401,7 @@ impl Service {
                 continue;
             }
             let budget = slice_budget.max(1).min(job.deadline_cycles.max(1));
-            let result = {
-                let mut driver = Driver::new(&self.accel);
-                driver.mtx(MtxWrite::ARows(job.a.rows() as u64));
-                driver.mtx(MtxWrite::BRows(job.b.rows() as u64));
-                driver.mtx(MtxWrite::X0(1));
-                driver.launch_slice(&job.a, &job.b, job.plan.as_ref(), None, budget)
-            };
-            let record = match result {
+            let record = match self.launch(&job, budget) {
                 Ok(SliceRun::Completed(outcome)) => {
                     self.clock.advance(outcome.stats.total_cycles.max(1));
                     self.breaker.record_success(self.clock.now());
@@ -464,6 +457,17 @@ impl Service {
         summary
     }
 
+    /// Programs a fresh driver for `job` and runs its first slice, up to
+    /// accelerator cycle `until_cycle` — the service's one way onto the
+    /// machine.
+    fn launch(&self, job: &Pending, until_cycle: u64) -> Result<SliceRun, DriverError> {
+        let mut driver = Driver::new(&self.accel);
+        driver.mtx(MtxWrite::ARows(job.a.rows() as u64));
+        driver.mtx(MtxWrite::BRows(job.b.rows() as u64));
+        driver.mtx(MtxWrite::X0(1));
+        driver.launch_slice(&job.a, &job.b, job.plan.as_ref(), None, until_cycle)
+    }
+
     /// Drive the job on the accelerator, retrying faults up to the
     /// configured attempt budget. The fault model is persistent — the
     /// job's plan rides every retry.
@@ -472,15 +476,8 @@ impl Service {
         let mut attempts = 0u32;
         loop {
             attempts += 1;
-            let result = {
-                let mut driver = Driver::new(&self.accel);
-                driver.mtx(MtxWrite::ARows(job.a.rows() as u64));
-                driver.mtx(MtxWrite::BRows(job.b.rows() as u64));
-                driver.mtx(MtxWrite::X0(1));
-                driver.launch_with_deadline(&job.a, &job.b, job.plan.as_ref(), job.deadline_cycles)
-            };
-            match result {
-                Ok(outcome) => {
+            match self.launch(&job, job.deadline_cycles) {
+                Ok(SliceRun::Completed(outcome)) => {
                     self.clock.advance(outcome.stats.total_cycles.max(1));
                     self.breaker.record_success(self.clock.now());
                     self.counters.completed_accel += 1;
@@ -488,17 +485,17 @@ impl Service {
                         // Completion under an injected fault is only
                         // acceptable for survivable kinds; anything else
                         // is a silent escape the campaign must flag.
-                        let probe: Result<RunOutcome, SimError> = Ok(outcome);
+                        let probe: Result<RunOutcome, SimError> = Ok(*outcome);
                         if classify(plan.kind, &probe) == Verdict::Escaped {
                             self.counters.escapes += 1;
                         }
                     }
                     return self.resolve(&job, started, attempts, Disposition::Completed);
                 }
-                Err(DriverError::DeadlineExceeded { deadline_cycles }) => {
-                    // The machine genuinely ran to the deadline before the
-                    // cancel: charge exactly that.
-                    self.clock.advance(deadline_cycles.max(1));
+                Ok(SliceRun::Paused(_)) => {
+                    // Cancelled at the deadline: the machine genuinely ran
+                    // to it before the cancel, so charge exactly that.
+                    self.clock.advance(job.deadline_cycles.max(1));
                     self.counters.deadline_exceeded =
                         self.counters.deadline_exceeded.saturating_add(1);
                     // No quarantine strike: a deadline kill reflects the
