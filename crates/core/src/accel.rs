@@ -6,7 +6,7 @@ use matraptor_mem::Hbm;
 use matraptor_sim::stats::CycleBreakdown;
 use matraptor_sim::trace::StageBreakdown;
 use matraptor_sim::watchdog::mix_signature;
-use matraptor_sim::{Cycle, SourceId, SourceState, Watchdog, WatchdogReport};
+use matraptor_sim::{Cycle, IdMap, SourceId, SourceState, Watchdog, WatchdogReport};
 use matraptor_sparse::{abft, spgemm, C2sr, Csr};
 
 use crate::checkpoint::{
@@ -173,7 +173,7 @@ struct RunContext<'m> {
 struct RunState {
     t: u64,
     next_id: u64,
-    route: BTreeMap<u64, usize>,
+    route: IdMap<usize>,
     lanes: Vec<Lane>,
     hbm: Hbm,
     stream_fault: Option<StreamInjector>,
@@ -457,7 +457,7 @@ impl Accelerator {
         RunState {
             t: 0,
             next_id: 0,
-            route: BTreeMap::new(),
+            route: IdMap::new(),
             lanes,
             hbm,
             stream_fault,
@@ -478,7 +478,7 @@ impl Accelerator {
                 b_fingerprint: fingerprint_matrix(ctx.b),
                 t: state.t,
                 next_id: state.next_id,
-                route: state.route.iter().map(|(&id, &l)| (id, l as u64)).collect(),
+                route: state.route.entries().into_iter().map(|(id, l)| (id, l as u64)).collect(),
                 lanes: state
                     .lanes
                     .iter()
@@ -649,7 +649,7 @@ impl Accelerator {
                     // injected memory corruption) fabricated a response.
                     // Propagate it instead of panicking so services above
                     // the driver survive the broken run.
-                    let Some(lane) = route.remove(&resp.id.0) else {
+                    let Some(lane) = route.remove(resp.id.0) else {
                         return Err(SimError::ProtocolViolation {
                             detail: "HBM response for an unissued request id",
                         });
@@ -866,6 +866,8 @@ impl Accelerator {
                 bytes_written: mem_stats.bytes_written,
                 traffic_read: mem_stats.traffic_read,
                 traffic_written: mem_stats.traffic_written,
+                bursts: mem_stats.bursts,
+                row_misses: mem_stats.row_misses,
                 per_pe_nnz,
                 overflow_rows,
                 overflow_padding_entries: overflow_padding,
@@ -935,6 +937,25 @@ fn reference_row(a: &Csr<f64>, b: &Csr<f64>, i: usize) -> (Vec<u32>, Vec<f64>) {
 mod tests {
     use super::*;
     use matraptor_sparse::gen;
+
+    /// The premise of `checkpoint_replay`'s SpBL case: at each of its
+    /// pause cycles some SpBL job waits on its row info (and so sits
+    /// outside the issue set), and at all but the first some other job is
+    /// in the set, so restore has a mixed set to rebuild.
+    #[test]
+    fn spbl_info_wait_cycles_hold_waiting_and_issuable_jobs() {
+        let accel = Accelerator::new(MatRaptorConfig::small_test());
+        let (a, b) = (gen::uniform(48, 48, 400, 11), gen::uniform(48, 48, 400, 12));
+        let ctx = accel.prepare_context(&a, &b).expect("valid operands");
+        let mut state = accel.fresh_state(&ctx, None);
+        for (i, k) in [400, 1850, 2200, 2600].into_iter().enumerate() {
+            assert!(!accel.drive_observed(&ctx, &mut state, k, None).expect("clean run"));
+            let waiting: usize = state.lanes.iter().map(|l| l.spbl.jobs_waiting_on_info()).sum();
+            let issuable: u32 = state.lanes.iter().map(|l| l.spbl.issuable_jobs()).sum();
+            assert!(waiting > 0, "no SpBL job waits on info at cycle {k}");
+            assert!(i == 0 || issuable > 0, "empty SpBL issue sets at cycle {k}");
+        }
+    }
 
     #[test]
     fn tiny_identity_product() {

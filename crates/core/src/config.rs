@@ -1,6 +1,6 @@
 //! Accelerator configuration.
 
-use matraptor_mem::HbmConfig;
+use matraptor_mem::{HbmConfig, MAX_BANK_LOOKAHEAD};
 
 use crate::error::ConfigError;
 
@@ -200,6 +200,8 @@ impl MatRaptorConfig {
             "need at least one bank"
         } else if m.banks_per_channel > 64 {
             "bank bitset supports at most 64 banks"
+        } else if m.bank_lookahead > MAX_BANK_LOOKAHEAD {
+            "bank lookahead exceeds the controller's 16-fragment window"
         } else {
             return Ok(());
         };
@@ -287,6 +289,20 @@ mod tests {
         let mut cfg = MatRaptorConfig::small_test();
         cfg.mem.burst_bytes = 0;
         assert_eq!(cfg.try_validate(), Err(ConfigError::InvalidMemConfig { detail: "zero burst" }));
+    }
+
+    #[test]
+    fn bank_lookahead_above_the_window_is_reported() {
+        let mut cfg = MatRaptorConfig::small_test();
+        cfg.mem.bank_lookahead = MAX_BANK_LOOKAHEAD;
+        assert_eq!(cfg.try_validate(), Ok(()));
+        cfg.mem.bank_lookahead = MAX_BANK_LOOKAHEAD + 1;
+        assert_eq!(
+            cfg.try_validate(),
+            Err(ConfigError::InvalidMemConfig {
+                detail: "bank lookahead exceeds the controller's 16-fragment window"
+            })
+        );
     }
 
     #[test]

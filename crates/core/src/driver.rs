@@ -518,6 +518,8 @@ impl<'a> Driver<'a> {
                 bytes_written: 0,
                 traffic_read: 0,
                 traffic_written: 0,
+                bursts: 0,
+                row_misses: 0,
                 per_pe_nnz: vec![a.nnz() as u64],
                 overflow_rows: 0,
                 overflow_padding_entries: 0,

@@ -1,10 +1,8 @@
 //! The lane-side handle to the shared memory system (the crossbar of
 //! Fig. 5a).
 
-use std::collections::BTreeMap;
-
 use matraptor_mem::{Hbm, MemRequest};
-use matraptor_sim::Cycle;
+use matraptor_sim::{Cycle, IdMap};
 
 /// A borrowed view of the memory system handed to each lane during its
 /// tick. Allocates globally unique request ids and records which lane each
@@ -19,7 +17,7 @@ pub(crate) struct MemPort<'a> {
     pub mem_now: Cycle,
     pub next_id: &'a mut u64,
     /// Request id → lane index, for response routing.
-    pub route: &'a mut BTreeMap<u64, usize>,
+    pub route: &'a mut IdMap<usize>,
     /// The lane currently ticking.
     pub lane: usize,
 }

@@ -171,7 +171,8 @@ impl QueueSet {
         Some((min, sum, popped))
     }
 
-    #[allow(dead_code)] // kept for occupancy diagnostics
+    /// Entries held across all queues (part of the PE's watchdog
+    /// progress signature).
     pub(crate) fn total_entries(&self) -> usize {
         self.queues.iter().map(SortQueue::len).sum()
     }

@@ -26,6 +26,11 @@ use crate::tokens::{ATok, PeTok};
 #[derive(Debug)]
 pub struct SpBl {
     jobs: VecDeque<Job>,
+    /// The jobs that can still issue a request, as a bitmask over the job
+    /// ring keyed by `seq % 64` (see [`Job::can_issue`]), so the issue loop
+    /// visits only them instead of every job in the window.
+    // conformance:allow(checkpoint-coverage): derived from `jobs`; restore rebuilds it
+    issue_set: u64,
     next_seq: u64,
     pending_info: BTreeMap<u64, u64>,
     pending_data: BTreeMap<u64, DataSpan>,
@@ -35,8 +40,6 @@ pub struct SpBl {
     max_outstanding: usize,
     // conformance:allow(checkpoint-coverage): fixed hardware constant from config, never mutated after construction
     staging_cap: usize,
-    // conformance:allow(checkpoint-coverage): fixed hardware constant from config, never mutated after construction
-    job_window: usize,
     /// Diagnostic counters: (blocked-on-data, blocked-on-info, staging-full, no-jobs) cycles.
     pub(crate) blocked: [u64; 4],
     /// Set when an incoming A token referenced a B row outside the
@@ -73,6 +76,27 @@ struct Job {
     drained_entries: u32,
 }
 
+impl Job {
+    /// Whether the issue loop has anything to do for this job: a fetch
+    /// whose info read is not issued yet, or whose info has arrived and
+    /// whose data plan is not built or not fully issued.
+    fn can_issue(&self) -> bool {
+        self.kind == JobKind::Fetch
+            && (!self.info_requested
+                || self.info_ready && self.plan.as_ref().is_none_or(|p| !p.is_empty()))
+    }
+
+    /// This job's bit in [`SpBl`]'s issue set.
+    fn bit(&self) -> u64 {
+        1 << (self.seq % 64)
+    }
+}
+
+/// Jobs SpBL holds at once. The issue set keys jobs by `seq % 64`, so the
+/// window must stay within 64.
+const JOB_WINDOW: usize = 32;
+const _: () = assert!(JOB_WINDOW <= 64);
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JobKind {
     /// Fetch B row `b_row` and emit products.
@@ -85,6 +109,7 @@ impl SpBl {
     pub(crate) fn new(cfg: &MatRaptorConfig) -> Self {
         SpBl {
             jobs: VecDeque::new(),
+            issue_set: 0,
             next_seq: 0,
             pending_info: BTreeMap::new(),
             pending_data: BTreeMap::new(),
@@ -92,7 +117,6 @@ impl SpBl {
             in_flight: 0,
             max_outstanding: cfg.outstanding_requests,
             staging_cap: 4 * cfg.coupling_fifo_depth,
-            job_window: 32,
             blocked: [0; 4],
             malformed: None,
             attribution: StageBreakdown::default(),
@@ -105,6 +129,8 @@ impl SpBl {
             self.in_flight -= 1;
             if let Some(job) = self.job_mut(seq) {
                 job.info_ready = true;
+                let bit = job.bit();
+                self.issue_set |= bit;
             }
             return true;
         }
@@ -140,6 +166,7 @@ impl SpBl {
         out_cap: usize,
         upstream_done: bool,
     ) {
+        debug_assert_eq!(self.issue_set, self.derived_issue_set(), "SpBL issue set out of step");
         // Attribution bookkeeping only — never gates behaviour.
         let mut moved = false;
 
@@ -152,7 +179,7 @@ impl SpBl {
         }
 
         // Accept new A tokens into the job window.
-        while self.jobs.len() < self.job_window {
+        while self.jobs.len() < JOB_WINDOW {
             let Some(tok) = input.pop_front() else { break };
             // Bounds check at the stream boundary: a corrupted C²SR
             // stream can carry a column id outside B's row space, which
@@ -194,24 +221,30 @@ impl SpBl {
                     drained_entries: 0,
                 },
             };
+            if job.can_issue() {
+                self.issue_set |= job.bit();
+            }
             self.jobs.push_back(job);
             self.next_seq += 1;
             moved = true;
         }
 
-        // Issue info and data requests in job order.
+        // Issue info and data requests in job order. Only jobs in the issue
+        // set are visited: the others would issue nothing.
         if self.staging.len() < self.staging_cap {
-            for idx in 0..self.jobs.len() {
+            let front_seq = self.jobs.front().map_or(0, |j| j.seq);
+            // Bit k of `visit` is the job k places behind the front.
+            let mut visit = self.issue_set.rotate_right((front_seq % 64) as u32);
+            while visit != 0 {
                 if self.in_flight >= self.max_outstanding {
                     break;
                 }
-                let (seq, kind, b_row, info_requested, info_ready, plan_built) = {
+                let idx = visit.trailing_zeros() as usize;
+                visit &= visit - 1;
+                let (seq, b_row, info_requested, plan_built) = {
                     let j = &self.jobs[idx];
-                    (j.seq, j.kind, j.b_row, j.info_requested, j.info_ready, j.plan.is_some())
+                    (j.seq, j.b_row, j.info_requested, j.plan.is_some())
                 };
-                if kind == JobKind::EmptyRow {
-                    continue;
-                }
                 if !info_requested {
                     let addr = layout.info_addr(b_row as usize);
                     if let Some(id) = port.try_read(addr, INFO_BYTES) {
@@ -220,32 +253,41 @@ impl SpBl {
                         self.jobs[idx].info_requested = true;
                         moved = true;
                     }
-                    continue;
-                }
-                if info_ready && !plan_built {
-                    let info = b.row_info(b_row as usize);
-                    let channel = b.channel_of(b_row as usize);
-                    let plan =
-                        layout.row_data_requests(&cfg.mem, channel, info, cfg.read_request_bytes);
-                    self.jobs[idx].len = info.len;
-                    self.jobs[idx].plan = Some(plan.into());
-                }
-                if let Some(plan) = self.jobs[idx].plan.as_mut() {
-                    while let Some(&(addr, bytes)) = plan.front() {
-                        if self.in_flight >= self.max_outstanding {
-                            break;
-                        }
-                        match port.try_read(addr, bytes) {
-                            Some(id) => {
-                                plan.pop_front();
-                                let count = (bytes as u64 / layout.entry_bytes) as u32;
-                                self.pending_data.insert(id, DataSpan { job_seq: seq, count });
-                                self.in_flight += 1;
-                                moved = true;
+                } else {
+                    // In the set with its info requested: the info has arrived.
+                    if !plan_built {
+                        let info = b.row_info(b_row as usize);
+                        let channel = b.channel_of(b_row as usize);
+                        let plan = layout.row_data_requests(
+                            &cfg.mem,
+                            channel,
+                            info,
+                            cfg.read_request_bytes,
+                        );
+                        self.jobs[idx].len = info.len;
+                        self.jobs[idx].plan = Some(plan.into());
+                    }
+                    if let Some(plan) = self.jobs[idx].plan.as_mut() {
+                        while let Some(&(addr, bytes)) = plan.front() {
+                            if self.in_flight >= self.max_outstanding {
+                                break;
                             }
-                            None => break,
+                            match port.try_read(addr, bytes) {
+                                Some(id) => {
+                                    plan.pop_front();
+                                    let count = (bytes as u64 / layout.entry_bytes) as u32;
+                                    self.pending_data.insert(id, DataSpan { job_seq: seq, count });
+                                    self.in_flight += 1;
+                                    moved = true;
+                                }
+                                None => break,
+                            }
                         }
                     }
+                }
+                let job = &self.jobs[idx];
+                if !job.can_issue() {
+                    self.issue_set &= !job.bit();
                 }
             }
         }
@@ -268,7 +310,7 @@ impl SpBl {
             match front.kind {
                 JobKind::EmptyRow => {
                     self.staging.push_back(PeTok::EndOfRow { row: front.out_row });
-                    self.jobs.pop_front();
+                    self.pop_job();
                     moved = true;
                 }
                 JobKind::Fetch => {
@@ -296,7 +338,7 @@ impl SpBl {
                         if front.last_in_row {
                             self.staging.push_back(PeTok::EndOfRow { row: front.out_row });
                         }
-                        self.jobs.pop_front();
+                        self.pop_job();
                         moved = true;
                     } else {
                         if !drained_any {
@@ -330,6 +372,30 @@ impl SpBl {
         } else {
             StageClass::MemStall
         });
+    }
+
+    fn pop_job(&mut self) {
+        if let Some(job) = self.jobs.pop_front() {
+            self.issue_set &= !job.bit();
+        }
+    }
+
+    /// Jobs whose row-info read is in flight: visited by no issue loop
+    /// until the info arrives.
+    #[cfg(test)]
+    pub(crate) fn jobs_waiting_on_info(&self) -> usize {
+        self.jobs.iter().filter(|j| j.info_requested && !j.info_ready).count()
+    }
+
+    /// Jobs in the issue set.
+    #[cfg(test)]
+    pub(crate) fn issuable_jobs(&self) -> u32 {
+        self.issue_set.count_ones()
+    }
+
+    /// The issue set as recomputed from `jobs`.
+    fn derived_issue_set(&self) -> u64 {
+        self.jobs.iter().filter(|j| j.can_issue()).fold(0, |set, j| set | j.bit())
     }
 
     /// Per-cycle busy/stall attribution for this unit.
@@ -431,6 +497,7 @@ impl SpBl {
                 drained_entries: j.drained_entries,
             })
             .collect();
+        self.issue_set = self.derived_issue_set();
         self.next_seq = state.next_seq;
         self.pending_info = state.pending_info.iter().copied().collect();
         self.pending_data = state

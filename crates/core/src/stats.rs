@@ -51,6 +51,10 @@ pub struct MatRaptorStats {
     pub traffic_read: u64,
     /// Burst-quantized DRAM write traffic (pin bytes).
     pub traffic_written: u64,
+    /// DRAM bursts serviced, summed over channels.
+    pub bursts: u64,
+    /// Bursts that had to open a new DRAM row, summed over channels.
+    pub row_misses: u64,
     /// Non-zeros of A assigned to each PE (Fig. 11's imbalance input).
     pub per_pe_nnz: Vec<u64>,
     /// Output rows that overflowed the sorting queues and fell back to
@@ -160,6 +164,8 @@ mod tests {
             bytes_written: 2_000,
             traffic_read: 8_000,
             traffic_written: 2_000,
+            bursts: 160,
+            row_misses: 12,
             per_pe_nnz: vec![100, 110, 90, 105],
             overflow_rows: 0,
             overflow_padding_entries: 0,

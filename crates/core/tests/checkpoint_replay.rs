@@ -240,3 +240,25 @@ fn checkpoint_rejection_paths() {
         other => panic!("expected BadMagic, got {other:?}"),
     }
 }
+
+/// SpBL's issue set is derived state, rebuilt from the job window on
+/// restore rather than checkpointed. Pause where SpBL jobs wait on their
+/// row info (outside the set) next to jobs still issuing (inside it) —
+/// the accel unit test `spbl_info_wait_cycles_hold_waiting_and_issuable_jobs`
+/// pins that premise for these cycles — and require the resumed run to
+/// be bit-identical to the unbroken one.
+#[test]
+fn resume_while_spbl_jobs_wait_on_row_info_is_bit_identical() {
+    let (a, b) = test_matrices();
+    let accel = accel();
+    let full = accel.try_run(&a, &b).expect("clean run");
+    for k in [400, 1850, 2200, 2600] {
+        let ck = Checkpoint::from_bytes(&pause_at(&accel, &a, &b, None, k).to_bytes())
+            .expect("round-trip");
+        let resumed = resume(&accel, &a, &b, &ck).expect("resume");
+        assert_eq!(resumed.stats, full.stats, "stats diverged after a pause at cycle {k}");
+        assert_eq!(resumed.c.row_ptr(), full.c.row_ptr());
+        assert_eq!(resumed.c.col_idx(), full.c.col_idx());
+        assert_eq!(value_bits(&resumed.c), value_bits(&full.c), "value bits diverged at k={k}");
+    }
+}

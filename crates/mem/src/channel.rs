@@ -18,6 +18,26 @@ pub(crate) struct Fragment {
     pub addr: u64,
     /// Useful bytes this fragment carries (≤ one burst).
     pub bytes: u32,
+    /// DRAM row of `addr` within its channel. Derived from `addr` when the
+    /// fragment is built, so the controller's per-cycle lookahead does no
+    /// division; never checkpointed (restore recomputes it).
+    row: u64,
+    /// Bank holding `row`.
+    bank: usize,
+}
+
+impl Fragment {
+    pub(crate) fn new(
+        cfg: &HbmConfig,
+        req_id: RequestId,
+        kind: MemKind,
+        addr: u64,
+        bytes: u32,
+    ) -> Self {
+        let row = cfg.channel_local_offset(addr) / cfg.row_bytes;
+        let bank = (row % cfg.banks_per_channel as u64) as usize;
+        Fragment { req_id, kind, addr, bytes, row, bank }
+    }
 }
 
 /// Per-channel accounting.
@@ -117,11 +137,6 @@ impl Channel {
             .unwrap_or_else(|_| panic!("channel queue overflow; check can_accept first"));
     }
 
-    fn row_and_bank(&self, cfg: &HbmConfig, addr: u64) -> (u64, usize) {
-        let row = cfg.channel_local_offset(addr) / cfg.row_bytes;
-        (row, (row % self.banks.len() as u64) as usize)
-    }
-
     /// Advances one cycle. Returns a fragment whose burst completed at
     /// exactly this cycle, if any.
     pub(crate) fn tick(&mut self, now: Cycle, cfg: &HbmConfig) -> Option<Fragment> {
@@ -138,14 +153,8 @@ impl Channel {
         // first fragment touching a bank "claims" it, so a later fragment
         // can never close a row an earlier one still needs.
         let mut claimed = 0u64; // bitset over banks (≤ 64 banks)
-        let mut window = [(0u64, 0usize); 16];
-        let mut wlen = 0;
-        for f in self.queue.iter().take(cfg.bank_lookahead.min(16)) {
-            window[wlen] = self.row_and_bank(cfg, f.addr);
-            wlen += 1;
-        }
-        for &(row, bank) in &window[..wlen] {
-            let bit = 1u64 << (bank % 64);
+        for &Fragment { row, bank, .. } in self.queue.iter().take(cfg.bank_lookahead) {
+            let bit = 1u64 << bank;
             if claimed & bit != 0 {
                 continue;
             }
@@ -164,8 +173,7 @@ impl Channel {
 
         // Put the head fragment on the bus when it is free.
         if self.in_service.is_none() {
-            if let Some(&frag) = self.queue.front() {
-                let (row, bank) = self.row_and_bank(cfg, frag.addr);
+            if let Some(&Fragment { row, bank, .. }) = self.queue.front() {
                 let b = &mut self.banks[bank];
                 let start = if b.open_row == Some(row) || b.prep_row == Some(row) {
                     now.max(b.ready_at)
@@ -255,7 +263,7 @@ impl Channel {
             cfg.banks_per_channel,
             "channel restore: bank count mismatch"
         );
-        let items: Vec<Fragment> = state.queue.iter().map(fragment_of).collect();
+        let items: Vec<Fragment> = state.queue.iter().map(|f| fragment_of(cfg, f)).collect();
         let mut stats = ChannelStats::default();
         stats.busy_cycles.add(state.stats.busy_cycles);
         stats.read_bytes.add(state.stats.read_bytes);
@@ -266,7 +274,10 @@ impl Channel {
         stats.row_misses.add(state.stats.row_misses);
         Channel {
             queue: Fifo::from_snapshot(cfg.queue_depth, items, state.queue_pushed),
-            in_service: state.in_service.as_ref().map(|(f, done)| (fragment_of(f), Cycle(*done))),
+            in_service: state
+                .in_service
+                .as_ref()
+                .map(|(f, done)| (fragment_of(cfg, f), Cycle(*done))),
             banks: state
                 .banks
                 .iter()
@@ -285,16 +296,16 @@ fn frag_state(f: &Fragment) -> FragmentState {
     FragmentState { req_id: f.req_id.0, kind: f.kind, addr: f.addr, bytes: f.bytes }
 }
 
-fn fragment_of(f: &FragmentState) -> Fragment {
-    Fragment { req_id: RequestId(f.req_id), kind: f.kind, addr: f.addr, bytes: f.bytes }
+fn fragment_of(cfg: &HbmConfig, f: &FragmentState) -> Fragment {
+    Fragment::new(cfg, RequestId(f.req_id), f.kind, f.addr, f.bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn frag(id: u64, addr: u64, bytes: u32) -> Fragment {
-        Fragment { req_id: RequestId(id), kind: MemKind::Read, addr, bytes }
+    fn frag(cfg: &HbmConfig, id: u64, addr: u64, bytes: u32) -> Fragment {
+        Fragment::new(cfg, RequestId(id), MemKind::Read, addr, bytes)
     }
 
     fn drive(ch: &mut Channel, cfg: &HbmConfig, until: u64) -> Vec<(u64, u64)> {
@@ -311,7 +322,7 @@ mod tests {
     fn cold_burst_pays_activation_plus_burst() {
         let cfg = HbmConfig::default(); // burst 4, activation 22
         let mut ch = Channel::new(&cfg);
-        ch.enqueue(frag(1, 0, 64));
+        ch.enqueue(frag(&cfg, 1, 0, 64));
         let done = drive(&mut ch, &cfg, 100);
         // Prep starts at t=0 (in the lookahead window), transfer waits for
         // it: ready at 22, burst done at 26.
@@ -322,8 +333,8 @@ mod tests {
     fn open_row_hits_are_back_to_back() {
         let cfg = HbmConfig::default();
         let mut ch = Channel::new(&cfg);
-        ch.enqueue(frag(1, 0, 64));
-        ch.enqueue(frag(2, 64, 64));
+        ch.enqueue(frag(&cfg, 1, 0, 64));
+        ch.enqueue(frag(&cfg, 2, 64, 64));
         let done = drive(&mut ch, &cfg, 200);
         assert_eq!(done[0], (1, 26));
         assert_eq!(done[1], (2, 30));
@@ -339,9 +350,9 @@ mod tests {
         let mut ch = Channel::new(&cfg);
         // Four bursts in row 0, then one in row 1.
         for i in 0..4 {
-            ch.enqueue(frag(i, i * 64, 64));
+            ch.enqueue(frag(&cfg, i, i * 64, 64));
         }
-        ch.enqueue(frag(9, 1024, 64));
+        ch.enqueue(frag(&cfg, 9, 1024, 64));
         let done = drive(&mut ch, &cfg, 300);
         let last = done.last().unwrap();
         // Row-0 bursts finish at 26,30,34,38. Row 1's activation started
@@ -358,8 +369,8 @@ mod tests {
         let cfg = HbmConfig::with_channels(1);
         let nbanks = cfg.banks_per_channel as u64;
         let mut ch = Channel::new(&cfg);
-        ch.enqueue(frag(1, 0, 64));
-        ch.enqueue(frag(2, nbanks * cfg.row_bytes, 64));
+        ch.enqueue(frag(&cfg, 1, 0, 64));
+        ch.enqueue(frag(&cfg, 2, nbanks * cfg.row_bytes, 64));
         let done = drive(&mut ch, &cfg, 300);
         // Second activation cannot start until the first transfer ends
         // (t=26): ready 48, done 52.
@@ -371,8 +382,8 @@ mod tests {
     fn narrow_read_still_occupies_full_burst() {
         let cfg = HbmConfig::default();
         let mut ch = Channel::new(&cfg);
-        ch.enqueue(frag(1, 0, 8));
-        ch.enqueue(frag(2, 8, 8));
+        ch.enqueue(frag(&cfg, 1, 0, 8));
+        ch.enqueue(frag(&cfg, 2, 8, 8));
         let done = drive(&mut ch, &cfg, 200);
         // Same row: 4-cycle bursts back to back despite 8 B payloads.
         assert_eq!(done[1].1 - done[0].1, 4);
@@ -384,8 +395,8 @@ mod tests {
         let cfg = HbmConfig { queue_depth: 2, ..HbmConfig::default() };
         let mut ch = Channel::new(&cfg);
         assert!(ch.is_idle());
-        ch.enqueue(frag(1, 0, 64));
-        ch.enqueue(frag(2, 64, 64));
+        ch.enqueue(frag(&cfg, 1, 0, 64));
+        ch.enqueue(frag(&cfg, 2, 64, 64));
         assert!(!ch.can_accept());
         assert_eq!(ch.free_slots(), 0);
         assert!(!ch.is_idle());

@@ -1,5 +1,8 @@
 //! HBM configuration.
 
+/// The deepest lookahead window the channel controller supports.
+pub const MAX_BANK_LOOKAHEAD: usize = 16;
+
 /// Parameters of the HBM model.
 ///
 /// Defaults reproduce the paper's evaluated configuration (Section V): up
@@ -46,7 +49,7 @@ pub struct HbmConfig {
     pub banks_per_channel: usize,
     /// How many queued fragments the controller scans to pre-start bank
     /// activations (in-order transfers, overlapped preparation — a
-    /// light-weight FR-FCFS).
+    /// light-weight FR-FCFS). At most [`MAX_BANK_LOOKAHEAD`].
     pub bank_lookahead: usize,
 }
 
@@ -118,8 +121,9 @@ impl HbmConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any field is zero or the interleave is smaller than the
-    /// burst (which would make single-burst requests span channels).
+    /// Panics if any field is zero, the interleave is smaller than the
+    /// burst (which would make single-burst requests span channels), or
+    /// the bank lookahead exceeds [`MAX_BANK_LOOKAHEAD`].
     pub fn validate(&self) {
         assert!(self.num_channels > 0, "need at least one channel");
         assert!(self.channel_width_bytes > 0, "zero channel width");
@@ -135,6 +139,11 @@ impl HbmConfig {
         assert!(self.row_bytes >= self.burst_bytes as u64, "row smaller than burst");
         assert!(self.banks_per_channel > 0, "need at least one bank");
         assert!(self.banks_per_channel <= 64, "bank bitset supports at most 64 banks");
+        assert!(
+            self.bank_lookahead <= MAX_BANK_LOOKAHEAD,
+            "bank lookahead ({}) exceeds the controller's {MAX_BANK_LOOKAHEAD}-fragment window",
+            self.bank_lookahead
+        );
     }
 }
 
@@ -178,6 +187,13 @@ mod tests {
         let a0 = cfg.channel_local_to_flat(3, 0);
         let a1 = cfg.channel_local_to_flat(3, 64);
         assert_eq!(a1 - a0, 8 * 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "bank lookahead (17) exceeds")]
+    fn bank_lookahead_above_the_window_rejected() {
+        let cfg = HbmConfig { bank_lookahead: MAX_BANK_LOOKAHEAD + 1, ..HbmConfig::default() };
+        cfg.validate();
     }
 
     #[test]

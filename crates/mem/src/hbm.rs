@@ -1,8 +1,6 @@
 //! The multi-channel HBM device.
 
-use std::collections::BTreeMap;
-
-use matraptor_sim::{Cycle, LatencyPipe};
+use matraptor_sim::{Cycle, IdMap, LatencyPipe};
 
 use crate::channel::{Channel, Fragment};
 use crate::fault::{FaultCounters, MemFaults};
@@ -94,7 +92,7 @@ pub struct Hbm {
     cfg: HbmConfig,
     channels: Vec<Channel>,
     /// In-flight request bookkeeping: fragments remaining + original size.
-    pending: BTreeMap<RequestId, PendingRequest>,
+    pending: IdMap<PendingRequest>,
     /// Completed requests waiting out the access latency.
     response_pipe: LatencyPipe<MemResponse>,
     completed_requests: u64,
@@ -126,7 +124,7 @@ impl Hbm {
         Hbm {
             cfg,
             channels,
-            pending: BTreeMap::new(),
+            pending: IdMap::new(),
             response_pipe,
             completed_requests: 0,
             latency_sum: 0,
@@ -157,34 +155,20 @@ impl Hbm {
         self.channels.iter().map(Channel::queue_len).collect()
     }
 
-    /// Splits a request into burst fragments (without enqueueing).
-    fn fragments(&self, req: &MemRequest) -> Vec<(usize, Fragment)> {
-        let burst = self.cfg.burst_bytes as u64;
-        let mut out = Vec::new();
-        let mut addr = req.addr;
-        let end = req.addr + req.bytes as u64;
-        while addr < end {
-            let burst_end = (addr / burst + 1) * burst;
-            let frag_end = burst_end.min(end);
-            out.push((
-                self.cfg.channel_of_addr(addr),
-                Fragment { req_id: req.id, kind: req.kind, addr, bytes: (frag_end - addr) as u32 },
-            ));
-            addr = frag_end;
-        }
-        out
-    }
-
     /// Whether [`Hbm::submit`] would currently accept `req`.
     pub fn can_accept(&self, req: &MemRequest) -> bool {
-        if req.bytes == 0 || self.pending.contains_key(&req.id) {
-            return false;
-        }
-        let mut need: BTreeMap<usize, usize> = BTreeMap::new();
-        for (ch, _) in self.fragments(req) {
-            *need.entry(ch).or_insert(0) += 1;
-        }
-        need.iter().all(|(&ch, &n)| self.channels[ch].free_slots() >= n)
+        // Cheapest test first: most submits are refused for want of space.
+        req.bytes != 0 && self.fits(req) && !self.pending.contains_key(req.id.0)
+    }
+
+    /// Whether every target channel has a queue slot for each fragment
+    /// bound to it, counted without building the fragment list: the k-th
+    /// fragment bound for a channel needs k free slots there.
+    fn fits(&self, req: &MemRequest) -> bool {
+        fragments(&self.cfg, req).enumerate().all(|(i, (ch, ..))| {
+            let rank = 1 + fragments(&self.cfg, req).take(i).filter(|&(c, ..)| c == ch).count();
+            rank <= self.channels[ch].free_slots()
+        })
     }
 
     /// Submits a request; returns `false` (and changes nothing) if any
@@ -192,7 +176,7 @@ impl Hbm {
     /// an installed refusal fault covers a target channel this cycle.
     pub fn submit(&mut self, now: Cycle, req: MemRequest) -> bool {
         if !self.faults.is_empty()
-            && self.fragments(&req).iter().any(|&(ch, _)| self.faults.refusing(ch, now.as_u64()))
+            && fragments(&self.cfg, &req).any(|(ch, ..)| self.faults.refusing(ch, now.as_u64()))
         {
             self.fault_counters.refused_submits += 1;
             return false;
@@ -200,19 +184,15 @@ impl Hbm {
         if !self.can_accept(&req) {
             return false;
         }
-        let frags = self.fragments(&req);
-        self.pending.insert(
-            req.id,
-            PendingRequest {
-                kind: req.kind,
-                bytes: req.bytes,
-                fragments_left: frags.len() as u32,
-                submitted: now,
-            },
-        );
-        for (ch, frag) in frags {
-            self.channels[ch].enqueue(frag);
+        let mut fragments_left = 0;
+        for (ch, addr, bytes) in fragments(&self.cfg, &req) {
+            self.channels[ch].enqueue(Fragment::new(&self.cfg, req.id, req.kind, addr, bytes));
+            fragments_left += 1;
         }
+        self.pending.insert(
+            req.id.0,
+            PendingRequest { kind: req.kind, bytes: req.bytes, fragments_left, submitted: now },
+        );
         true
     }
 
@@ -229,7 +209,7 @@ impl Hbm {
                 let done = {
                     let p = self
                         .pending
-                        .get_mut(&frag.req_id)
+                        .get_mut(frag.req_id.0)
                         // conformance:allow(panic-safety): invariant: fragments complete only for requests still pending
                         .expect("fragment completed for unknown request");
                     p.fragments_left -= 1;
@@ -237,7 +217,7 @@ impl Hbm {
                 };
                 if done {
                     // conformance:allow(panic-safety): invariant: presence checked two lines above
-                    let p = self.pending.remove(&frag.req_id).expect("just seen");
+                    let p = self.pending.remove(frag.req_id.0).expect("just seen");
                     self.completed_requests += 1;
                     self.latency_sum = self
                         .latency_sum
@@ -279,9 +259,10 @@ impl Hbm {
             channels: self.channels.iter().map(Channel::snapshot).collect(),
             pending: self
                 .pending
-                .iter()
+                .entries()
+                .into_iter()
                 .map(|(id, p)| PendingState {
-                    id: id.0,
+                    id,
                     kind: p.kind,
                     bytes: p.bytes,
                     fragments_left: p.fragments_left,
@@ -322,7 +303,7 @@ impl Hbm {
             .iter()
             .map(|p| {
                 (
-                    RequestId(p.id),
+                    p.id,
                     PendingRequest {
                         kind: p.kind,
                         bytes: p.bytes,
@@ -359,24 +340,43 @@ impl Hbm {
 
     /// Aggregate statistics.
     pub fn stats(&self) -> HbmStats {
-        let mut s = HbmStats::default();
+        let mut s = HbmStats {
+            requests_completed: self.completed_requests,
+            total_latency: self.latency_sum,
+            ..HbmStats::default()
+        };
+        let burst = self.cfg.burst_bytes as u64;
         for ch in &self.channels {
             let c = ch.stats();
+            s.bytes_read = s.bytes_read.saturating_add(c.read_bytes.get());
+            s.bytes_written = s.bytes_written.saturating_add(c.write_bytes.get());
+            s.traffic_read += c.read_bursts.get() * burst;
+            s.traffic_written += c.write_bursts.get() * burst;
             s.bursts += c.bursts.get();
             s.row_misses += c.row_misses.get();
             s.busy_cycles = s.busy_cycles.saturating_add(c.busy_cycles.get());
         }
-        s.bytes_read = self.channels.iter().map(|c| c.stats().read_bytes.get()).sum();
-        s.bytes_written = self.channels.iter().map(|c| c.stats().write_bytes.get()).sum();
-        let burst = self.cfg.burst_bytes as u64;
-        s.traffic_read =
-            self.channels.iter().map(|c| c.stats().read_bursts.get()).sum::<u64>() * burst;
-        s.traffic_written =
-            self.channels.iter().map(|c| c.stats().write_bursts.get()).sum::<u64>() * burst;
-        s.requests_completed = self.completed_requests;
-        s.total_latency = self.latency_sum;
         s
     }
+}
+
+/// The burst fragments of `req` in address order, as `(channel, addr,
+/// bytes)`: the request is split at burst boundaries, and each piece goes
+/// to the channel owning its first byte.
+fn fragments<'c>(
+    cfg: &'c HbmConfig,
+    req: &MemRequest,
+) -> impl Iterator<Item = (usize, u64, u32)> + 'c {
+    let burst = cfg.burst_bytes as u64;
+    let end = req.addr + req.bytes as u64;
+    let mut addr = req.addr;
+    std::iter::from_fn(move || {
+        (addr < end).then(|| {
+            let start = addr;
+            addr = ((start / burst + 1) * burst).min(end);
+            (cfg.channel_of_addr(start), start, (addr - start) as u32)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -451,12 +451,11 @@ mod tests {
     #[test]
     fn misaligned_request_splits_at_burst_boundary() {
         let cfg = HbmConfig::default();
-        let hbm = Hbm::new(cfg);
         // 64 B starting at offset 32: fragments [32..64) and [64..96).
-        let frags = hbm.fragments(&MemRequest::read(1, 32, 64));
+        let frags: Vec<_> = fragments(&cfg, &MemRequest::read(1, 32, 64)).collect();
         assert_eq!(frags.len(), 2);
-        assert_eq!(frags[0].1.bytes, 32);
-        assert_eq!(frags[1].1.bytes, 32);
+        assert_eq!(frags[0].2, 32);
+        assert_eq!(frags[1].2, 32);
         // And they land on different channels (the CSR problem).
         assert_ne!(frags[0].0, frags[1].0);
     }

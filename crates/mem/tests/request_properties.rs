@@ -5,7 +5,7 @@
 //! Runs as deterministic seeded sweeps (the offline build cannot fetch
 //! `proptest`); each case reproduces exactly from the printed seed.
 
-use matraptor_mem::{Hbm, HbmConfig, MemKind, MemRequest};
+use matraptor_mem::{FaultWindow, Hbm, HbmConfig, MemFaults, MemKind, MemRequest};
 use matraptor_sim::Cycle;
 use matraptor_sparse::rng::ChaCha8Rng;
 use std::collections::BTreeMap;
@@ -133,4 +133,130 @@ fn mixed_reads_and_writes_share_channels_fairly() {
     let (done, _) = drive(cfg, reqs);
     assert_eq!(done.len(), 64);
     assert_eq!(done.values().filter(|(k, _)| *k == MemKind::Read).count(), 32);
+}
+
+/// The channel of each burst fragment of `req`, in address order: the
+/// fragment list the admission rule is defined over.
+fn fragment_channels(cfg: &HbmConfig, req: &MemRequest) -> Vec<usize> {
+    let burst = cfg.burst_bytes as u64;
+    let mut channels = Vec::new();
+    let mut addr = req.addr;
+    let end = req.addr + req.bytes as u64;
+    while addr < end {
+        channels.push(cfg.channel_of_addr(addr));
+        addr = ((addr / burst + 1) * burst).min(end);
+    }
+    channels
+}
+
+/// Capacity admission spelled out the slow way: count the fragments per
+/// channel in a map and admit only if the request is non-empty, its id
+/// is not in flight, and every target queue has room for its count.
+/// Returns the per-channel counts when admitted.
+fn reference_admission(
+    cfg: &HbmConfig,
+    hbm: &Hbm,
+    in_flight: &[u64],
+    req: &MemRequest,
+) -> Option<BTreeMap<usize, usize>> {
+    let mut need = BTreeMap::new();
+    for ch in fragment_channels(cfg, req) {
+        *need.entry(ch).or_insert(0) += 1;
+    }
+    let depths = hbm.queue_depths();
+    let fits = need.iter().all(|(&ch, &n)| cfg.queue_depth - depths[ch] >= n);
+    (req.bytes > 0 && !in_flight.contains(&req.id.0) && fits).then_some(need)
+}
+
+/// The allocation-free admission of `Hbm::can_accept` / `Hbm::submit`
+/// agrees with the fragment-list reference, attempt for attempt: across
+/// random geometries (including interleaves that are not a multiple of
+/// the burst), requests spanning up to 24 bursts, shallow queues that
+/// refuse often, duplicate ids, and installed refusal windows. An
+/// accepted request must add exactly the reference's fragment count to
+/// each channel queue.
+#[test]
+fn allocation_free_admission_agrees_with_the_fragment_list() {
+    let (mut admitted_long, mut refused, mut fault_refused, mut duplicates) = (0, 0, 0, 0);
+    for seed in 0..CASES {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xAD31_5510);
+        let burst = [16u32, 32, 64][rng.gen_range(0..3usize)];
+        let cfg = HbmConfig {
+            num_channels: rng.gen_range(1..9usize),
+            burst_bytes: burst,
+            interleave_bytes: burst * rng.gen_range(1..5u32) + [0, 8][rng.gen_range(0..2usize)],
+            queue_depth: rng.gen_range(2..12usize),
+            ..HbmConfig::default()
+        };
+        let faults = if rng.gen_bool(0.5) {
+            let refusals = (0..rng.gen_range(1..4usize))
+                .map(|_| {
+                    let start = rng.gen_range(0..200u64);
+                    FaultWindow {
+                        channel: rng.gen_range(0..cfg.num_channels),
+                        start,
+                        end: start + rng.gen_range(1..100u64),
+                    }
+                })
+                .collect();
+            MemFaults { stalls: Vec::new(), refusals }
+        } else {
+            MemFaults::none()
+        };
+        let mut hbm = Hbm::new(cfg.clone());
+        hbm.set_faults(faults.clone());
+        for t in 0..300u64 {
+            let now = Cycle(t);
+            // Ids accepted this cycle: certainly still in flight, as no
+            // fragment is serviced before the next tick. Ids of earlier
+            // cycles never recur.
+            let mut in_flight: Vec<u64> = Vec::new();
+            for _ in 0..rng.gen_range(0..6usize) {
+                // Ids mostly fresh, sometimes a duplicate of one in flight.
+                let id = if !in_flight.is_empty() && rng.gen_bool(0.2) {
+                    in_flight[rng.gen_range(0..in_flight.len())]
+                } else {
+                    1_000 * seed + t * 8 + rng.gen_range(0..8u64)
+                };
+                let bytes = rng.gen_range(0..24 * burst);
+                let req = MemRequest::read(id, rng.gen_range(0u64..100_000), bytes);
+                let fits = reference_admission(&cfg, &hbm, &in_flight, &req);
+                assert_eq!(hbm.can_accept(&req), fits.is_some(), "seed {seed} t {t}: {req:?}");
+                let refusing =
+                    fragment_channels(&cfg, &req).iter().any(|&ch| faults.refusing(ch, t));
+                let want = if refusing { None } else { fits };
+                fault_refused += usize::from(refusing);
+                duplicates += usize::from(in_flight.contains(&id));
+                let before = hbm.queue_depths();
+                let refused_before = hbm.fault_counters().refused_submits;
+                assert_eq!(hbm.submit(now, req), want.is_some(), "seed {seed} t {t}: {req:?}");
+                assert_eq!(
+                    hbm.fault_counters().refused_submits - refused_before,
+                    u64::from(refusing),
+                    "seed {seed} t {t}: refusal not counted once"
+                );
+                let after = hbm.queue_depths();
+                match want {
+                    Some(need) => {
+                        for ch in 0..cfg.num_channels {
+                            let added = need.get(&ch).copied().unwrap_or(0);
+                            assert_eq!(after[ch], before[ch] + added, "seed {seed} t {t} ch {ch}");
+                        }
+                        in_flight.push(id);
+                        admitted_long += usize::from(need.values().sum::<usize>() > 8);
+                    }
+                    None => {
+                        assert_eq!(after, before, "seed {seed} t {t}: a refusal changed a queue");
+                        refused += 1;
+                    }
+                }
+            }
+            hbm.tick(now);
+            while hbm.pop_response(now).is_some() {}
+        }
+    }
+    assert!(admitted_long > 0, "no request spanning more than 8 bursts was admitted");
+    assert!(refused > 0, "no request was refused");
+    assert!(fault_refused > 0, "no refusal window bit");
+    assert!(duplicates > 0, "no duplicate id was submitted");
 }

@@ -17,6 +17,8 @@
 //! * [`Fifo`] — a bounded queue with backpressure, the universal hardware
 //!   coupling element (the paper's "outstanding requests and responses
 //!   queues");
+//! * [`IdMap`] — an in-flight request table keyed by increasing ids,
+//!   stored densely by offset instead of in a tree;
 //! * [`LatencyPipe`] — a delay line for modelling fixed-latency paths such
 //!   as DRAM access latency;
 //! * [`Watchdog`] — a forward-progress tracker: components report cheap
@@ -36,6 +38,7 @@
 
 mod clock;
 mod fifo;
+mod idmap;
 mod latency;
 pub mod stats;
 pub mod trace;
@@ -43,5 +46,6 @@ pub mod watchdog;
 
 pub use clock::{Cycle, SimClock};
 pub use fifo::Fifo;
+pub use idmap::IdMap;
 pub use latency::LatencyPipe;
 pub use watchdog::{SourceId, SourceReport, SourceState, Watchdog, WatchdogReport};
