@@ -182,6 +182,60 @@ struct RunState {
     hbm_source: SourceId,
 }
 
+/// A prepared job whose machine stays resident between slices.
+///
+/// [`Accelerator::prepare`] pays the job's set-up once: operand checks,
+/// C²SR conversion, the flop count and the layouts. Each
+/// [`ResidentRun::slice`] then advances the live machine through the one
+/// drive loop, so a caller that keeps the run across slices pays neither
+/// the set-up nor a checkpoint restore per slice. A checkpoint costs
+/// O(live state): the operand fingerprints are computed on first need and
+/// cached (a run that never pauses or resumes computes none), and finished
+/// output rows are shared with the checkpoint, not copied.
+///
+/// [`Accelerator::try_run_slice`] is a prepare followed by one slice, so
+/// a resident run and a chain of stateless slices are the same machine:
+/// at every boundary they hand out byte-identical checkpoints (DESIGN.md
+/// §9).
+///
+/// # Example
+///
+/// ```rust
+/// use matraptor_core::{Accelerator, MatRaptorConfig, SliceRun};
+/// use matraptor_sparse::gen;
+///
+/// let a = gen::uniform(48, 48, 300, 1);
+/// let accel = Accelerator::new(MatRaptorConfig::small_test());
+/// let mut run = accel.prepare(&a, &a).expect("compatible operands");
+/// let mut until = 0;
+/// let outcome = loop {
+///     until += 256;
+///     match run.slice(None, None, until).expect("clean run") {
+///         SliceRun::Paused(checkpoint) => assert_eq!(checkpoint.cycle(), until),
+///         SliceRun::Completed(outcome) => break outcome,
+///     }
+/// };
+/// assert_eq!(outcome.stats.total_cycles, accel.run(&a, &a).stats.total_cycles);
+/// ```
+pub struct ResidentRun<'a> {
+    accel: &'a Accelerator,
+    ctx: RunContext<'a>,
+    /// `(A, B)` operand fingerprints, computed on first need.
+    fingerprints: Option<(u64, u64)>,
+    /// The live machine: `None` until a slice starts or resumes it, and
+    /// again once a slice drains it or fails.
+    state: Option<RunState>,
+}
+
+impl std::fmt::Debug for ResidentRun<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ResidentRun")
+            .field("cycle", &self.state.as_ref().map(|state| state.t))
+            .field("fingerprints", &self.fingerprints)
+            .finish_non_exhaustive()
+    }
+}
+
 /// Display names for watchdog lane sources (`&'static str` registry; lanes
 /// beyond the table share the last name, which loses nothing — the
 /// diagnostic carries real lane indices).
@@ -190,9 +244,10 @@ const LANE_NAMES: [&str; 16] = [
     "lane10", "lane11", "lane12", "lane13", "lane14", "lane15",
 ];
 
-/// Cycle stride between watchdog observations: sampling every cycle would
-/// put two small allocations on the hottest loop; every 64th cycle bounds
-/// detection latency at `window + 64` while keeping the overhead noise.
+/// Cycle stride between watchdog observations: folding every unit's
+/// signature on every cycle would dominate the hottest loop; every 64th
+/// cycle bounds detection latency at `window + 64` while keeping the
+/// overhead noise.
 const WATCHDOG_STRIDE: u64 = 64;
 
 impl Accelerator {
@@ -286,7 +341,7 @@ impl Accelerator {
         plan: Option<&FaultPlan>,
         trace_cfg: &TraceConfig,
     ) -> Result<(RunOutcome, RunTrace), SimError> {
-        let ctx = self.prepare_context(a, b)?;
+        let ctx = self.prepare(a, b)?.ctx;
         let mut state = self.fresh_state(&ctx, plan);
         let mut sampler =
             TraceSampler::new(trace_cfg, self.cfg.mem.num_channels, self.cfg.num_lanes);
@@ -342,24 +397,23 @@ impl Accelerator {
         from: Option<&Checkpoint>,
         until_cycle: u64,
     ) -> Result<SliceRun, SimError> {
-        let ctx = self.prepare_context(a, b)?;
-        let mut state = match from {
-            Some(checkpoint) => self.restore_run(&ctx, checkpoint)?,
-            None => self.fresh_state(&ctx, plan),
-        };
-        if self.drive_observed(&ctx, &mut state, until_cycle, None)? {
-            self.finalize(&ctx, &state).map(|outcome| SliceRun::Completed(Box::new(outcome)))
-        } else {
-            Ok(SliceRun::Paused(Box::new(self.snapshot_run(&ctx, &state))))
-        }
+        self.prepare(a, b)?.slice(plan, from, until_cycle)
     }
 
-    /// Validates operands and derives the read-only run context.
-    fn prepare_context<'m>(
-        &self,
+    /// Prepares a [`ResidentRun`] of `a * b`: checks the operands' inner
+    /// dimensions, converts both to C²SR for this lane count, counts the
+    /// flops for the cycle budget and builds the memory layouts — once,
+    /// however many slices the run then takes.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MalformedInput`] when `a.cols() != b.rows()`.
+    #[must_use = "dropping the Result discards the prepared run or the operand error"]
+    pub fn prepare<'m>(
+        &'m self,
         a: &'m Csr<f64>,
         b: &'m Csr<f64>,
-    ) -> Result<RunContext<'m>, SimError> {
+    ) -> Result<ResidentRun<'m>, SimError> {
         if a.cols() != b.rows() {
             return Err(SimError::MalformedInput(MalformedInput::InnerDimensionMismatch {
                 a_cols: a.cols(),
@@ -383,7 +437,12 @@ impl Accelerator {
         let flops = spgemm::multiply_count(a, b);
         let budget = (flops * 200 + a.nnz() as u64 * 400 + 1_000_000) * ratio;
 
-        Ok(RunContext { a, b, ac, bc, a_layout, b_layout, c_layout, ratio, budget })
+        Ok(ResidentRun {
+            accel: self,
+            ctx: RunContext { a, b, ac, bc, a_layout, b_layout, c_layout, ratio, budget },
+            fingerprints: None,
+            state: None,
+        })
     }
 
     /// Builds the watchdog with one source per lane plus the HBM —
@@ -469,19 +528,23 @@ impl Accelerator {
 
     /// Serializes the machine at the top of cycle `state.t`, fingerprinted
     /// against this accelerator's configuration and the run's operands.
-    fn snapshot_run(&self, ctx: &RunContext<'_>, state: &RunState) -> Checkpoint {
+    fn snapshot_run(
+        &self,
+        (a_fingerprint, b_fingerprint): (u64, u64),
+        state: &mut RunState,
+    ) -> Checkpoint {
         let (wd_last, wd_states) = state.watchdog.export_state();
         Checkpoint {
             state: CheckpointState {
                 cfg_fingerprint: fingerprint_config(&self.cfg),
-                a_fingerprint: fingerprint_matrix(ctx.a),
-                b_fingerprint: fingerprint_matrix(ctx.b),
+                a_fingerprint,
+                b_fingerprint,
                 t: state.t,
                 next_id: state.next_id,
                 route: state.route.entries().into_iter().map(|(id, l)| (id, l as u64)).collect(),
                 lanes: state
                     .lanes
-                    .iter()
+                    .iter_mut()
                     .map(|lane| LaneState {
                         spal: lane.spal.snapshot(),
                         spbl: lane.spbl.snapshot(),
@@ -513,10 +576,12 @@ impl Accelerator {
     }
 
     /// Rebuilds a [`RunState`] from a checkpoint, verifying that it was
-    /// taken by a run of the same configuration over the same operands.
+    /// taken by a run of the same configuration over the same operands
+    /// (whose fingerprints are `(a_fingerprint, b_fingerprint)`).
     fn restore_run(
         &self,
         ctx: &RunContext<'_>,
+        (a_fingerprint, b_fingerprint): (u64, u64),
         checkpoint: &Checkpoint,
     ) -> Result<RunState, SimError> {
         let cfg = &self.cfg;
@@ -526,12 +591,12 @@ impl Accelerator {
                 detail: "configuration differs from the checkpointed run",
             });
         }
-        if st.a_fingerprint != fingerprint_matrix(ctx.a) {
+        if st.a_fingerprint != a_fingerprint {
             return Err(SimError::CheckpointMismatch {
                 detail: "matrix A differs from the checkpointed run",
             });
         }
-        if st.b_fingerprint != fingerprint_matrix(ctx.b) {
+        if st.b_fingerprint != b_fingerprint {
             return Err(SimError::CheckpointMismatch {
                 detail: "matrix B differs from the checkpointed run",
             });
@@ -745,19 +810,7 @@ impl Accelerator {
                     sig = mix_signature(sig, lane.pe_in.len() as u64);
                     watchdog.observe(lane_sources[l], Cycle(*t), sig);
                 }
-                // The HBM's signature must only move when it *services*
-                // something: queue depths, in-flight count, and per-channel
-                // busy counters. Fault counters are deliberately excluded —
-                // a stalled channel accumulating stall ticks is not
-                // progress.
-                let mut sig = mix_signature(0, hbm.in_flight() as u64);
-                for depth in hbm.queue_depths() {
-                    sig = mix_signature(sig, depth as u64);
-                }
-                for ch in hbm.channel_stats() {
-                    sig = mix_signature(sig, ch.busy_cycles.get());
-                }
-                watchdog.observe(*hbm_source, Cycle(*t), sig);
+                watchdog.observe(*hbm_source, Cycle(*t), hbm.progress_signature());
                 if let Some(report) = watchdog.check(Cycle(*t)) {
                     return Err(SimError::Deadlock(deadlock_diagnostic(&report, lanes, hbm)));
                 }
@@ -792,7 +845,7 @@ impl Accelerator {
             SimError::ProtocolViolation { detail: "output C2SR rejected the validated lane count" }
         })?;
         for lane in lanes {
-            for row in &lane.writer.finished {
+            for row in lane.writer.finished.iter() {
                 c2sr.append_row(row.row as usize, &row.cols, &row.vals);
             }
         }
@@ -879,6 +932,56 @@ impl Accelerator {
     }
 }
 
+impl ResidentRun<'_> {
+    /// Runs one bounded slice: drives the machine until it drains or
+    /// reaches accelerator cycle `until_cycle`, whichever comes first.
+    ///
+    /// A slice with no live machine — the first one, or the next one after
+    /// a slice drained or failed — enters it first: from `from` if given
+    /// (verified against this run's configuration and operands), otherwise
+    /// fresh with `plan` armed. While the machine is live, `plan` and
+    /// `from` are ignored. A drained slice returns the finalized outcome; a
+    /// paused one returns the checkpoint of the machine at exactly
+    /// `until_cycle` and keeps it live for the next slice.
+    ///
+    /// # Errors
+    ///
+    /// As [`Accelerator::try_run_slice`]. A failed slice drops the machine.
+    #[must_use = "dropping the Result loses the slice outcome or pause checkpoint"]
+    pub fn slice(
+        &mut self,
+        plan: Option<&FaultPlan>,
+        from: Option<&Checkpoint>,
+        until_cycle: u64,
+    ) -> Result<SliceRun, SimError> {
+        let mut state = match (self.state.take(), from) {
+            (Some(state), _) => state,
+            (None, Some(checkpoint)) => {
+                let fingerprints = self.fingerprints();
+                self.accel.restore_run(&self.ctx, fingerprints, checkpoint)?
+            }
+            (None, None) => self.accel.fresh_state(&self.ctx, plan),
+        };
+        if self.accel.drive_observed(&self.ctx, &mut state, until_cycle, None)? {
+            let outcome = self.accel.finalize(&self.ctx, &state)?;
+            return Ok(SliceRun::Completed(Box::new(outcome)));
+        }
+        let checkpoint = self.accel.snapshot_run(self.fingerprints(), &mut state);
+        self.state = Some(state);
+        Ok(SliceRun::Paused(Box::new(checkpoint)))
+    }
+
+    /// The `(A, B)` fingerprints, hashed once per run (once in all when
+    /// both operands are the same matrix).
+    fn fingerprints(&mut self) -> (u64, u64) {
+        let (a, b) = (self.ctx.a, self.ctx.b);
+        *self.fingerprints.get_or_insert_with(|| {
+            let fa = fingerprint_matrix(a);
+            (fa, if std::ptr::eq(a, b) { fa } else { fingerprint_matrix(b) })
+        })
+    }
+}
+
 /// Builds the structured deadlock payload from the watchdog's report plus
 /// the machine state at the moment the wedge was declared.
 fn deadlock_diagnostic(report: &WatchdogReport, lanes: &[Lane], hbm: &Hbm) -> DeadlockDiagnostic {
@@ -946,7 +1049,7 @@ mod tests {
     fn spbl_info_wait_cycles_hold_waiting_and_issuable_jobs() {
         let accel = Accelerator::new(MatRaptorConfig::small_test());
         let (a, b) = (gen::uniform(48, 48, 400, 11), gen::uniform(48, 48, 400, 12));
-        let ctx = accel.prepare_context(&a, &b).expect("valid operands");
+        let ctx = accel.prepare(&a, &b).expect("valid operands").ctx;
         let mut state = accel.fresh_state(&ctx, None);
         for (i, k) in [400, 1850, 2200, 2600].into_iter().enumerate() {
             assert!(!accel.drive_observed(&ctx, &mut state, k, None).expect("clean run"));

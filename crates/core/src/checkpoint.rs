@@ -39,7 +39,7 @@ use matraptor_sparse::Csr;
 use crate::config::MatRaptorConfig;
 use crate::queue::VectorMode;
 use crate::tokens::{ATok, PeTok};
-use crate::writer::FinishedRow;
+use crate::writer::{FinishedRow, FinishedRows};
 
 /// Current checkpoint format version. Bumped on any change to the
 /// serialized field walk; [`Checkpoint::from_bytes`] rejects other
@@ -334,7 +334,7 @@ pub(crate) struct WriterState {
     pub(crate) cur_row: Option<u32>,
     pub(crate) cur_cols: Vec<u32>,
     pub(crate) cur_vals: Vec<f64>,
-    pub(crate) finished: Vec<FinishedRow>,
+    pub(crate) finished: FinishedRows,
     pub(crate) entries_pushed: u64,
     pub(crate) fault_drop_append: Option<u64>,
     pub(crate) dropped_appends: u64,
@@ -678,6 +678,22 @@ impl Dec for VectorMode {
     }
 }
 
+/// Walks exactly as the `Vec<FinishedRow>` it replaced: the chunking is
+/// invisible in the bytes, and decoding yields one unshared chunk.
+impl Enc for FinishedRows {
+    fn enc(&self, out: &mut Vec<u8>) {
+        (self.len() as u64).enc(out);
+        for row in self.iter() {
+            row.enc(out);
+        }
+    }
+}
+impl Dec for FinishedRows {
+    fn dec(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        Vec::<FinishedRow>::dec(r).map(FinishedRows::from)
+    }
+}
+
 /// Implements the byte walk for a plain struct as the fields in order.
 macro_rules! plain_struct {
     ($name:ident { $($f:ident),* $(,)? }) => {
@@ -906,6 +922,40 @@ mod tests {
             Err(CheckpointError::Truncated) => {}
             other => panic!("expected truncation error, got {other:?}"),
         }
+    }
+
+    /// Finished rows compare and serialize by their sequence alone: a
+    /// writer that sealed a chunk at every snapshot, one that never did,
+    /// and the decoded copy all agree.
+    #[test]
+    fn finished_rows_are_independent_of_chunking() {
+        let row = |r: u32| FinishedRow {
+            row: r,
+            cols: vec![r, r + 1],
+            vals: vec![f64::from(r), -0.5],
+            padded_entries: u64::from(r % 2),
+        };
+        let (mut chunked, mut whole) = (FinishedRows::default(), FinishedRows::default());
+        let mut shares = Vec::new();
+        for r in 0..7 {
+            chunked.push(row(r));
+            whole.push(row(r));
+            if r % 3 == 0 {
+                shares.push(chunked.share());
+            }
+        }
+        assert_eq!(chunked, whole);
+        assert_ne!(shares[0], whole, "an earlier share holds fewer rows");
+        let walk = |rows: &FinishedRows| {
+            let mut out = Vec::new();
+            rows.enc(&mut out);
+            out
+        };
+        let bytes = walk(&chunked.share());
+        assert_eq!(bytes, walk(&whole));
+        assert_eq!(bytes, walk(&(0..7).map(row).collect::<Vec<_>>().into()));
+        let mut r = Reader { buf: &bytes, pos: 0 };
+        assert_eq!(FinishedRows::dec(&mut r).expect("decodes"), whole);
     }
 
     #[test]

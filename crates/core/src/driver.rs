@@ -12,7 +12,7 @@ use matraptor_mem::HbmConfig;
 use matraptor_sim::stats::CycleBreakdown;
 use matraptor_sparse::{spgemm, C2sr, Csr, SparseError};
 
-use crate::accel::{Accelerator, RunOutcome, SliceRun};
+use crate::accel::{Accelerator, ResidentRun, RunOutcome, SliceRun};
 use crate::checkpoint::Checkpoint;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
@@ -298,10 +298,13 @@ impl<'a> Driver<'a> {
     /// to the deadline: `Paused` means the job was cancelled at exactly
     /// that cycle, and its checkpoint can resume the cancelled work.
     ///
-    /// Each re-entry repeats the full preflight (start bit, dimension
-    /// registers, input structure): a fleet re-dispatching a checkpoint to
-    /// a different worker re-programs that worker's registers, and this is
-    /// where a mis-programmed hand-off is caught.
+    /// This is [`Driver::prepare`] followed by one [`ResidentRun::slice`],
+    /// so every call repeats the full preflight and set-up. A fleet
+    /// re-dispatching a checkpoint to a different worker re-programs that
+    /// worker's registers, and this is where a mis-programmed hand-off is
+    /// caught. A caller that runs many slices of one job on one worker
+    /// keeps the prepared run instead, and pays the preflight once per
+    /// dispatch.
     ///
     /// # Errors
     ///
@@ -318,15 +321,35 @@ impl<'a> Driver<'a> {
         from: Option<&Checkpoint>,
         until_cycle: u64,
     ) -> Result<SliceRun, DriverError> {
-        self.preflight(a, b)?;
-        match self.accel.try_run_slice(a, b, plan, from, until_cycle) {
-            Ok(SliceRun::Completed(outcome)) => {
-                self.regs.x0 = 0;
-                Ok(SliceRun::Completed(outcome))
-            }
-            Ok(paused @ SliceRun::Paused(_)) => Ok(paused),
-            Err(e) => Err(DriverError::AcceleratorFault(e)),
+        let slice = self.prepare(a, b)?.slice(plan, from, until_cycle);
+        if let Ok(SliceRun::Completed(_)) = slice {
+            self.regs.x0 = 0;
         }
+        slice.map_err(DriverError::AcceleratorFault)
+    }
+
+    /// The launch preflight (start bit, dimension registers, input
+    /// structure) followed by [`Accelerator::prepare`]: the job's whole
+    /// set-up, ready to run slice by slice with [`ResidentRun::slice`].
+    ///
+    /// # Errors
+    ///
+    /// The preflight refusals of [`Driver::launch`];
+    /// [`DriverError::AcceleratorFault`] carrying
+    /// [`SimError::MalformedInput`] when the operands' inner dimensions
+    /// disagree.
+    ///
+    /// [`SimError::MalformedInput`]: crate::SimError::MalformedInput
+    pub fn prepare<'m>(
+        &self,
+        a: &'m Csr<f64>,
+        b: &'m Csr<f64>,
+    ) -> Result<ResidentRun<'m>, DriverError>
+    where
+        'a: 'm,
+    {
+        self.preflight(a, b)?;
+        self.accel.prepare(a, b).map_err(DriverError::AcceleratorFault)
     }
 
     /// [`Driver::launch`] with a [`RecoveryPolicy`] ladder: transient
@@ -355,7 +378,7 @@ impl<'a> Driver<'a> {
         plan: Option<&FaultPlan>,
         policy: &RecoveryPolicy,
     ) -> Result<(RunOutcome, RecoveryReport), DriverError> {
-        self.preflight(a, b)?;
+        let mut run = self.prepare(a, b)?;
         let mut report = RecoveryReport {
             attempts: 1,
             degraded: false,
@@ -368,7 +391,8 @@ impl<'a> Driver<'a> {
 
         // Attempt 1: the full machine, with the injected fault (if any),
         // sliced at the checkpoint interval so a transient failure can
-        // resume. No interval (or a zero one) is one unbounded slice.
+        // resume. No interval (or a zero one) is one unbounded slice. The
+        // machine stays resident across the slices.
         let interval = policy.checkpoint_interval.filter(|&n| n > 0);
         let mut checkpoint: Option<Box<Checkpoint>> = None;
         let first_fault = loop {
@@ -376,7 +400,7 @@ impl<'a> Driver<'a> {
                 Some(n) => checkpoint.as_ref().map_or(0, |ck| ck.cycle()).saturating_add(n),
                 None => u64::MAX,
             };
-            match self.accel.try_run_slice(a, b, plan, checkpoint.as_deref(), until) {
+            match run.slice(plan, None, until) {
                 Ok(SliceRun::Completed(outcome)) => {
                     self.regs.x0 = 0;
                     report.trail.push(RecoveryAttempt {
@@ -441,9 +465,7 @@ impl<'a> Driver<'a> {
             let (action, result) = match rung {
                 Rung::Resume(ck) => (
                     RecoveryAction::ResumeCheckpoint,
-                    self.accel
-                        .try_run_slice(a, b, None, Some(&ck), u64::MAX)
-                        .and_then(SliceRun::completed),
+                    run.slice(None, Some(&ck), u64::MAX).and_then(SliceRun::completed),
                 ),
                 Rung::Lanes(n) => {
                     let mut cfg = self.accel.config().clone();

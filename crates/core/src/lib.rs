@@ -33,7 +33,10 @@
 //!   structured [`DeadlockDiagnostic`] when the watchdog declares a wedge;
 //! * [`Accelerator::try_run_slice`] is the one general run primitive: it
 //!   starts fresh or resumes a checkpoint, optionally arms a fault, and
-//!   runs to completion or pauses at a given cycle;
+//!   runs to completion or pauses at a given cycle. It is one slice of a
+//!   [`ResidentRun`], which a caller can instead keep across slices to
+//!   pay the job's set-up (validation, C²SR conversion, fingerprints) once
+//!   per job rather than once per slice;
 //! * [`FaultPlan`] describes a deterministic, seeded fault injection
 //!   (channel stalls, corrupted or truncated C²SR streams, forced
 //!   sorting-queue overflow, dropped writer appends) that a fresh slice
@@ -77,7 +80,7 @@ mod tokens;
 mod trace;
 mod writer;
 
-pub use accel::{Accelerator, RunOutcome, SliceRun};
+pub use accel::{Accelerator, ResidentRun, RunOutcome, SliceRun};
 pub use checkpoint::{fingerprint_inputs, Checkpoint, CheckpointError, CHECKPOINT_VERSION};
 pub use config::MatRaptorConfig;
 pub use convert::{

@@ -1,6 +1,7 @@
 //! Per-lane output writer: streams finished C rows to the lane's channel.
 
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use matraptor_sim::trace::{StageBreakdown, StageClass};
 use matraptor_sim::watchdog::mix_signature;
@@ -20,6 +21,60 @@ pub(crate) struct FinishedRow {
     /// overflowed the sorting queues and was delegated to the CPU
     /// (Section VII's upper-bound gap). Zero for normal rows.
     pub padded_entries: u64,
+}
+
+/// A lane's completed output rows, append-only: rows sealed by a snapshot
+/// sit in `Arc`-shared chunks that every later checkpoint references
+/// instead of copying, so a slice-boundary checkpoint costs O(rows
+/// finished since the last one), not O(output). Equality and the
+/// checkpoint byte walk see only the row sequence, never the chunking.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FinishedRows {
+    sealed: Vec<Arc<Vec<FinishedRow>>>,
+    /// Rows across `sealed` (the watchdog reads the length every stride).
+    sealed_rows: usize,
+    open: Vec<FinishedRow>,
+}
+
+impl FinishedRows {
+    pub(crate) fn push(&mut self, row: FinishedRow) {
+        self.open.push(row);
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.sealed_rows + self.open.len()
+    }
+
+    /// Every row in completion order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &FinishedRow> {
+        self.sealed.iter().flat_map(|c| c.iter()).chain(&self.open)
+    }
+
+    /// Seals the open rows into a shared chunk and returns a handle on
+    /// the whole sequence that shares every chunk with `self`.
+    pub(crate) fn share(&mut self) -> FinishedRows {
+        if !self.open.is_empty() {
+            self.sealed_rows += self.open.len();
+            self.sealed.push(Arc::new(std::mem::take(&mut self.open)));
+        }
+        FinishedRows {
+            sealed: self.sealed.clone(),
+            sealed_rows: self.sealed_rows,
+            open: Vec::new(),
+        }
+    }
+}
+
+impl From<Vec<FinishedRow>> for FinishedRows {
+    fn from(open: Vec<FinishedRow>) -> Self {
+        FinishedRows { sealed: Vec::new(), sealed_rows: 0, open }
+    }
+}
+
+impl PartialEq for FinishedRows {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
 }
 
 /// The Phase II output path of a lane: buffers merged entries into
@@ -43,7 +98,7 @@ pub(crate) struct Writer {
     cur_cols: Vec<u32>,
     cur_vals: Vec<f64>,
     /// All completed rows, in completion (= row) order for this lane.
-    pub(crate) finished: Vec<FinishedRow>,
+    pub(crate) finished: FinishedRows,
     // conformance:allow(checkpoint-coverage): derived from config at construction; restore runs against the fingerprint-checked config
     entry_bytes: u32,
     // conformance:allow(checkpoint-coverage): fixed hardware constant, never mutated after construction
@@ -74,7 +129,7 @@ impl Writer {
             cur_row: None,
             cur_cols: Vec::new(),
             cur_vals: Vec::new(),
-            finished: Vec::new(),
+            finished: FinishedRows::default(),
             entry_bytes: u32::try_from(cfg.entry_bytes).unwrap_or(u32::MAX),
             queue_cap: 16,
             entries_pushed: 0,
@@ -218,8 +273,9 @@ impl Writer {
     }
 
     /// Captures all mutable state for a checkpoint. The lane binding and
-    /// region base are rebuilt by [`Writer::new`] on restore.
-    pub(crate) fn snapshot(&self) -> WriterState {
+    /// region base are rebuilt by [`Writer::new`] on restore. Finished rows
+    /// are sealed and shared, not copied (see [`FinishedRows`]).
+    pub(crate) fn snapshot(&mut self) -> WriterState {
         WriterState {
             local_cursor: self.local_cursor,
             buffered_bytes: self.buffered_bytes,
@@ -228,7 +284,7 @@ impl Writer {
             cur_row: self.cur_row,
             cur_cols: self.cur_cols.clone(),
             cur_vals: self.cur_vals.clone(),
-            finished: self.finished.clone(),
+            finished: self.finished.share(),
             entries_pushed: self.entries_pushed,
             fault_drop_append: self.fault_drop_append,
             dropped_appends: self.dropped_appends,

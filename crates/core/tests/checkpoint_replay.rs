@@ -8,6 +8,7 @@ use matraptor_core::{
     Accelerator, Checkpoint, CheckpointError, FaultKind, FaultPlan, MatRaptorConfig,
     MatRaptorStats, RunOutcome, SimError, SliceRun, CHECKPOINT_VERSION,
 };
+use matraptor_sparse::gen::suite;
 use matraptor_sparse::{gen, Csr};
 
 fn test_matrices() -> (Csr<f64>, Csr<f64>) {
@@ -261,4 +262,134 @@ fn resume_while_spbl_jobs_wait_on_row_info_is_bit_identical() {
         assert_eq!(resumed.c.col_idx(), full.c.col_idx());
         assert_eq!(value_bits(&resumed.c), value_bits(&full.c), "value bits diverged at k={k}");
     }
+}
+
+/// How one slice ended, comparably: the checkpoint bytes of a pause, or
+/// the summary of a drained or failed run.
+#[derive(Debug, PartialEq)]
+enum Boundary {
+    Paused(Vec<u8>),
+    Ended(Box<RunSummary>),
+}
+
+fn boundary(slice: Result<SliceRun, SimError>) -> Boundary {
+    match slice {
+        Ok(SliceRun::Paused(ck)) => Boundary::Paused(ck.to_bytes()),
+        Ok(SliceRun::Completed(outcome)) => Boundary::Ended(Box::new(summarise(Ok(*outcome)))),
+        Err(e) => Boundary::Ended(Box::new(summarise(Err(e)))),
+    }
+}
+
+/// A resident run — prepared once, its machine kept live across slices —
+/// is the same machine as a chain of stateless slices that each prepare,
+/// restore and snapshot: at every boundary the two hand out
+/// byte-identical checkpoints, and they end in the same result as one
+/// unbounded run. Halfway through, a third run resumes from the resident
+/// checkpoint's bytes (its finished rows now one decoded chunk instead of
+/// one chunk per slice) and must keep in byte-identical step to the end.
+#[test]
+fn resident_run_matches_a_stateless_slice_chain_at_every_boundary() {
+    let cfg = MatRaptorConfig { watchdog_window: 2_000, ..MatRaptorConfig::default() };
+    let lanes = cfg.num_lanes;
+    let accel = Accelerator::new(cfg);
+    for id in ["pg", "cc"] {
+        let a = suite::by_id(id).expect("Table II matrix").generate(2048, 1);
+        let clean = summarise(accel.try_run(&a, &a));
+        let halfway = clean.as_ref().expect("clean run").0.total_cycles / 2;
+        let plans: Vec<Option<FaultPlan>> = std::iter::once(None)
+            .chain(FaultKind::ALL.into_iter().map(|kind| Some(FaultPlan::sample(kind, 1, lanes))))
+            .collect();
+        for plan in &plans {
+            let plan = plan.as_ref();
+            let full = summarise(
+                accel.try_run_slice(&a, &a, plan, None, u64::MAX).and_then(SliceRun::completed),
+            );
+            if plan.is_none() {
+                assert_eq!(full, clean, "{id}: an unbounded slice must equal try_run");
+            }
+            let name = plan.map_or("no fault", |p| p.kind.name());
+            for slice in [1, 64, 4096] {
+                let mut resident = accel.prepare(&a, &a).expect("compatible operands");
+                let mut rechunked: Option<(matraptor_core::ResidentRun<'_>, Checkpoint)> = None;
+                let mut last: Option<Box<Checkpoint>> = None;
+                let mut until = 0;
+                let end = loop {
+                    until += slice;
+                    let stateless = accel.try_run_slice(&a, &a, plan, last.as_deref(), until);
+                    let got = boundary(resident.slice(plan, None, until));
+                    if let Some((run, ck)) = rechunked.as_mut() {
+                        let again = boundary(run.slice(None, Some(ck), until));
+                        assert_eq!(again, got, "{id} {name} {slice}: decoded resume at {until}");
+                    }
+                    if let Ok(SliceRun::Paused(ck)) = &stateless {
+                        if rechunked.is_none() && ck.cycle() >= halfway {
+                            let decoded =
+                                Checkpoint::from_bytes(&ck.to_bytes()).expect("round-trip");
+                            let run = accel.prepare(&a, &a).expect("compatible operands");
+                            rechunked = Some((run, decoded));
+                        }
+                    }
+                    let want = match stateless {
+                        Ok(SliceRun::Paused(ck)) => {
+                            let bytes = ck.to_bytes();
+                            last = Some(ck);
+                            Boundary::Paused(bytes)
+                        }
+                        other => boundary(other),
+                    };
+                    assert_eq!(got, want, "{id} {name} {slice}-cycle slices: boundary {until}");
+                    if let Boundary::Ended(summary) = got {
+                        break *summary;
+                    }
+                };
+                assert_eq!(end, full, "{id} {name} {slice}-cycle slices: final result");
+            }
+        }
+    }
+}
+
+/// A resident run caches its operand fingerprints, and a foreign
+/// checkpoint is still refused with the precise detail — on the first
+/// resume attempt, which computes the fingerprints, and on a second one,
+/// which reads them from the cache. The refused run keeps no machine, so
+/// it can still start its own job fresh; a live one never looks at a
+/// handed-over checkpoint.
+#[test]
+fn resident_runs_refuse_foreign_checkpoints_with_cached_fingerprints() {
+    let (a, b) = test_matrices();
+    let accel = accel();
+    // Squared operands share one fingerprint: the checkpoint of `a * a`
+    // must still be refused against `a * b`.
+    let squared = pause_at(&accel, &a, &a, None, 64);
+    let ck = pause_at(&accel, &a, &b, None, 64);
+    let other = gen::uniform(48, 48, 400, 90);
+    let mut cfg = MatRaptorConfig::small_test();
+    cfg.coupling_fifo_depth += 1;
+    let reconfigured = Accelerator::new(cfg);
+    let cases = [
+        (&accel, (&other, &b), &ck, "matrix A differs from the checkpointed run"),
+        (&accel, (&a, &other), &ck, "matrix B differs from the checkpointed run"),
+        (&accel, (&a, &b), &squared, "matrix B differs from the checkpointed run"),
+        (&reconfigured, (&a, &b), &ck, "configuration differs from the checkpointed run"),
+    ];
+    for (acc, (x, y), foreign, want) in cases {
+        let mut run = acc.prepare(x, y).expect("compatible operands");
+        for attempt in 0..2 {
+            match run.slice(None, Some(foreign), u64::MAX) {
+                Err(SimError::CheckpointMismatch { detail }) => assert_eq!(detail, want),
+                other => panic!("attempt {attempt}: expected `{want}`, got {other:?}"),
+            }
+        }
+        let own = run.slice(None, None, u64::MAX).and_then(SliceRun::completed);
+        assert_eq!(summarise(own), summarise(acc.try_run(x, y)), "fresh start after `{want}`");
+    }
+    // A live run continues its own machine and ignores `from`.
+    let mut live = accel.prepare(&a, &b).expect("compatible operands");
+    assert!(matches!(live.slice(None, None, 64), Ok(SliceRun::Paused(_))));
+    let own = live.slice(None, Some(&squared), u64::MAX).and_then(SliceRun::completed);
+    assert_eq!(summarise(own), summarise(accel.try_run(&a, &b)));
+    // The same operands in other allocations are the same job.
+    let (a2, b2) = (a.clone(), b.clone());
+    let resumed = accel.prepare(&a2, &b2).expect("compatible").slice(None, Some(&ck), u64::MAX);
+    assert_eq!(summarise(resumed.and_then(SliceRun::completed)), summarise(accel.try_run(&a, &b)));
 }

@@ -1,5 +1,6 @@
 //! The multi-channel HBM device.
 
+use matraptor_sim::watchdog::mix_signature;
 use matraptor_sim::{Cycle, IdMap, LatencyPipe};
 
 use crate::channel::{Channel, Fragment};
@@ -244,6 +245,24 @@ impl Hbm {
     /// Number of requests currently in flight.
     pub fn in_flight(&self) -> usize {
         self.pending.len()
+    }
+
+    /// The device's forward-progress signature for a watchdog: the
+    /// in-flight count, then every channel's queue depth, then every
+    /// channel's busy cycles — the values [`Hbm::queue_depths`] and
+    /// [`Hbm::channel_stats`] report, folded without allocating. It moves
+    /// only when the device *services* something: fault counters are
+    /// deliberately excluded, since a stalled channel accumulating stall
+    /// ticks is not progress.
+    pub fn progress_signature(&self) -> u64 {
+        let mut sig = mix_signature(0, self.in_flight() as u64);
+        for ch in &self.channels {
+            sig = mix_signature(sig, ch.queue_len() as u64);
+        }
+        for ch in &self.channels {
+            sig = mix_signature(sig, ch.stats().busy_cycles.get());
+        }
+        sig
     }
 
     /// Per-channel statistics.
@@ -516,6 +535,28 @@ mod tests {
         assert!(bw.is_finite());
         // Non-degenerate sanity: 5120 B over 256 cycles at 1 GHz = 20 GB/s.
         assert!((stats.achieved_bandwidth_gbs(256, 1.0) - 20.0).abs() < 1e-12);
+    }
+
+    /// The allocation-free signature folds exactly what the `Vec`
+    /// accessors report, in the same order, at every cycle of a run.
+    #[test]
+    fn progress_signature_folds_the_vec_accessors() {
+        let mut hbm = Hbm::new(HbmConfig::default());
+        for i in 0..8u64 {
+            assert!(hbm.submit(Cycle(0), MemRequest::read(i, i * 24, 24)));
+        }
+        for t in 0..200u64 {
+            let mut sig = mix_signature(0, hbm.in_flight() as u64);
+            for depth in hbm.queue_depths() {
+                sig = mix_signature(sig, depth as u64);
+            }
+            for ch in hbm.channel_stats() {
+                sig = mix_signature(sig, ch.busy_cycles.get());
+            }
+            assert_eq!(hbm.progress_signature(), sig, "cycle {t}");
+            hbm.tick(Cycle(t));
+            while hbm.pop_response(Cycle(t)).is_some() {}
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //!
 //! Life of a job: the main loop pushes a [`DispatchItem`] into the SPMC
 //! dispatch ring; some worker pops it, parks a copy in its supervision
-//! mailbox, and runs it slice by slice ([`Driver::launch_slice`]),
-//! updating the mailbox checkpoint at every slice boundary; on resolution
+//! mailbox, prepares it once ([`Driver::prepare`]) and runs its resident
+//! machine slice by slice, publishing an `Arc`-shared checkpoint to the
+//! mailbox at every slice boundary; on resolution
 //! it clears the mailbox and pushes a [`ParRecord`] through the MPSC
 //! completion ring; the main loop merges completions in arrival order into
 //! an id-keyed map (at-most-once: later completions for a resolved id are
@@ -62,7 +63,9 @@ pub(crate) struct DispatchItem {
     pub executed: u64,
     pub redispatches: u32,
     pub resumed: bool,
-    pub checkpoint: Option<Box<Checkpoint>>,
+    /// The last slice-boundary checkpoint, shared with the mailbox that
+    /// publishes it rather than copied into it.
+    pub checkpoint: Option<Arc<Checkpoint>>,
     /// Lane width of the worker that took `checkpoint`; a worker at a
     /// different width restarts the job from scratch (checkpoints encode
     /// machine shape).
@@ -273,7 +276,14 @@ fn worker_loop(
 }
 
 /// Run one dispatched item slice by slice until it resolves or the
-/// generation is interrupted.
+/// generation is interrupted — the one slice loop, shared by the workers
+/// and the inline fallback.
+///
+/// The item is prepared once ([`Driver::prepare`]: preflight, C²SR
+/// conversion, layouts) and its machine stays resident across slices; the
+/// checkpoint published to the mailbox at every boundary is what a
+/// re-dispatch resumes, so crash and hang recovery still lose at most one
+/// slice.
 #[allow(clippy::too_many_arguments)]
 fn run_item(
     ctx: &WorkerCtx,
@@ -297,6 +307,26 @@ fn run_item(
     *lock_unpoisoned(&shared.mailbox) = Some(item.clone());
     let deadline = item.deadline.max(1);
     let mut crash_after = false;
+    let (a, b) = (Arc::clone(&item.a), Arc::clone(&item.b));
+    let mut driver = Driver::new(accel);
+    driver.mtx(MtxWrite::ARows(a.rows() as u64));
+    driver.mtx(MtxWrite::BRows(b.rows() as u64));
+    driver.mtx(MtxWrite::X0(1));
+    // A refused set-up is replayed at every slice, exactly as re-preparing
+    // would refuse it again.
+    let mut prepared = driver.prepare(&a, &b);
+    let resolve =
+        |item: &DispatchItem, disposition, executed_cycles, output_fingerprint| ParRecord {
+            id: item.id,
+            disposition,
+            worker: idx,
+            attempts: item.attempts,
+            redispatches: item.redispatches,
+            resumed_from_checkpoint: item.resumed,
+            degraded_width: degraded,
+            executed_cycles,
+            output_fingerprint,
+        };
     loop {
         if ctx.stopping() || shared.abandoned.load(Ordering::Acquire) {
             return ItemExit::Interrupted;
@@ -342,72 +372,38 @@ fn run_item(
             .saturating_add(ctx.slice_cycles)
             .min(deadline)
             .max(item.executed.saturating_add(1));
-        let result = {
-            let mut driver = Driver::new(accel);
-            driver.mtx(MtxWrite::ARows(item.a.rows() as u64));
-            driver.mtx(MtxWrite::BRows(item.b.rows() as u64));
-            driver.mtx(MtxWrite::X0(1));
-            driver.launch_slice(
-                &item.a,
-                &item.b,
-                item.plan.as_ref(),
-                item.checkpoint.as_deref(),
-                target,
-            )
+        let result = match &mut prepared {
+            Ok(run) => run
+                .slice(item.plan.as_ref(), item.checkpoint.as_deref(), target)
+                .map_err(DriverError::AcceleratorFault),
+            Err(refused) => Err(refused.clone()),
         };
         stats.slices.fetch_add(1, Ordering::Relaxed);
         shared.beats.fetch_add(1, Ordering::Relaxed);
         match result {
             Ok(SliceRun::Completed(outcome)) => {
-                let record = ParRecord {
-                    id: item.id,
-                    disposition: Disposition::Completed,
-                    worker: idx,
-                    attempts: item.attempts,
-                    redispatches: item.redispatches,
-                    resumed_from_checkpoint: item.resumed,
-                    degraded_width: degraded,
-                    executed_cycles: outcome.stats.total_cycles,
-                    output_fingerprint: Some(fingerprint_output(&outcome.c)),
-                };
+                let fingerprint = Some(fingerprint_output(&outcome.c));
+                let record =
+                    resolve(&item, Disposition::Completed, outcome.stats.total_cycles, fingerprint);
                 return ItemExit::Resolved(record, crash_after);
             }
             Ok(SliceRun::Paused(cp)) => {
                 item.executed = cp.cycle();
                 if item.executed >= deadline {
-                    let record = ParRecord {
-                        id: item.id,
-                        disposition: Disposition::DeadlineExceeded,
-                        worker: idx,
-                        attempts: item.attempts,
-                        redispatches: item.redispatches,
-                        resumed_from_checkpoint: item.resumed,
-                        degraded_width: degraded,
-                        executed_cycles: item.executed,
-                        output_fingerprint: None,
-                    };
+                    let record = resolve(&item, Disposition::DeadlineExceeded, item.executed, None);
                     return ItemExit::Resolved(record, crash_after);
                 }
-                item.checkpoint = Some(cp);
+                item.checkpoint = Some(Arc::from(cp));
                 *lock_unpoisoned(&shared.mailbox) = Some(item.clone());
             }
             Err(DriverError::AcceleratorFault(_)) => {
                 if item.attempts >= ctx.max_attempts {
-                    let record = ParRecord {
-                        id: item.id,
-                        disposition: Disposition::Failed,
-                        worker: idx,
-                        attempts: item.attempts,
-                        redispatches: item.redispatches,
-                        resumed_from_checkpoint: item.resumed,
-                        degraded_width: degraded,
-                        executed_cycles: item.executed,
-                        output_fingerprint: None,
-                    };
+                    let record = resolve(&item, Disposition::Failed, item.executed, None);
                     return ItemExit::Resolved(record, crash_after);
                 }
                 // Retry from scratch: input-borne fault plans persist, but
-                // a transient machine state is discarded with the attempt.
+                // a transient machine state is discarded with the attempt
+                // (the failed slice already dropped the resident machine).
                 item.attempts = item.attempts.saturating_add(1);
                 item.checkpoint = None;
                 item.executed = 0;
@@ -416,17 +412,7 @@ fn run_item(
             Err(_) => {
                 // Preflight refusals are not retried: the inputs cannot
                 // become valid by re-running them.
-                let record = ParRecord {
-                    id: item.id,
-                    disposition: Disposition::Failed,
-                    worker: idx,
-                    attempts: item.attempts,
-                    redispatches: item.redispatches,
-                    resumed_from_checkpoint: item.resumed,
-                    degraded_width: degraded,
-                    executed_cycles: item.executed,
-                    output_fingerprint: None,
-                };
+                let record = resolve(&item, Disposition::Failed, item.executed, None);
                 return ItemExit::Resolved(record, crash_after);
             }
         }
@@ -576,7 +562,7 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
                     continue;
                 }
                 counters.inline_fallbacks = counters.inline_fallbacks.saturating_add(1);
-                let record = run_inline(&cfg, item);
+                let record = run_inline(&ctx, item);
                 merge(record, &mut records, &mut counters, &mut sup);
             }
             // Completions from dying workers may still be in flight; fall
@@ -738,9 +724,10 @@ pub fn run(cfg: ParallelConfig, jobs: Vec<ParJob>) -> Result<ParReport, Parallel
 }
 
 /// Main-thread fallback execution at full width, used only after every
-/// worker slot retired.
-fn run_inline(cfg: &ParallelConfig, mut item: DispatchItem) -> ParRecord {
-    let fail = |item: &DispatchItem, executed: u64| ParRecord {
+/// worker retired: the workers' slice loop, with no injection schedule and
+/// a private mailbox nobody supervises.
+fn run_inline(ctx: &WorkerCtx, item: DispatchItem) -> ParRecord {
+    let interrupted = ParRecord {
         id: item.id,
         disposition: Disposition::Failed,
         worker: INLINE_WORKER,
@@ -748,83 +735,26 @@ fn run_inline(cfg: &ParallelConfig, mut item: DispatchItem) -> ParRecord {
         redispatches: item.redispatches,
         resumed_from_checkpoint: item.resumed,
         degraded_width: false,
-        executed_cycles: executed,
+        executed_cycles: 0,
         output_fingerprint: None,
     };
-    let Ok(accel) = Accelerator::try_new(cfg.accel.clone()) else {
-        return fail(&item, 0);
+    let Ok(accel) = Accelerator::try_new(ctx.accel.clone()) else {
+        return interrupted;
     };
-    // Inline runs at template width; a checkpoint from another width
-    // cannot resume.
-    if item.checkpoint.is_some() && item.checkpoint_lanes != cfg.accel.num_lanes {
-        item.checkpoint = None;
-        item.executed = 0;
-    }
-    item.resumed = item.resumed || item.checkpoint.is_some();
-    let deadline = item.deadline.max(1);
-    loop {
-        let target = item
-            .executed
-            .saturating_add(cfg.slice_cycles)
-            .min(deadline)
-            .max(item.executed.saturating_add(1));
-        let result = {
-            let mut driver = Driver::new(&accel);
-            driver.mtx(MtxWrite::ARows(item.a.rows() as u64));
-            driver.mtx(MtxWrite::BRows(item.b.rows() as u64));
-            driver.mtx(MtxWrite::X0(1));
-            driver.launch_slice(
-                &item.a,
-                &item.b,
-                item.plan.as_ref(),
-                item.checkpoint.as_deref(),
-                target,
-            )
-        };
-        match result {
-            Ok(SliceRun::Completed(outcome)) => {
-                return ParRecord {
-                    id: item.id,
-                    disposition: Disposition::Completed,
-                    worker: INLINE_WORKER,
-                    attempts: item.attempts,
-                    redispatches: item.redispatches,
-                    resumed_from_checkpoint: item.resumed,
-                    degraded_width: false,
-                    executed_cycles: outcome.stats.total_cycles,
-                    output_fingerprint: Some(fingerprint_output(&outcome.c)),
-                };
-            }
-            Ok(SliceRun::Paused(cp)) => {
-                item.executed = cp.cycle();
-                if item.executed >= deadline {
-                    return ParRecord {
-                        id: item.id,
-                        disposition: Disposition::DeadlineExceeded,
-                        worker: INLINE_WORKER,
-                        attempts: item.attempts,
-                        redispatches: item.redispatches,
-                        resumed_from_checkpoint: item.resumed,
-                        degraded_width: false,
-                        executed_cycles: item.executed,
-                        output_fingerprint: None,
-                    };
-                }
-                item.checkpoint = Some(cp);
-            }
-            Err(DriverError::AcceleratorFault(_)) => {
-                if item.attempts >= cfg.max_attempts {
-                    let executed = item.executed;
-                    return fail(&item, executed);
-                }
-                item.attempts = item.attempts.saturating_add(1);
-                item.checkpoint = None;
-                item.executed = 0;
-            }
-            Err(_) => {
-                let executed = item.executed;
-                return fail(&item, executed);
-            }
-        }
+    let (shared, stats) = (GenShared::default(), InjectStats::default());
+    match run_item(
+        ctx,
+        INLINE_WORKER,
+        ctx.template_lanes,
+        &accel,
+        &shared,
+        &stats,
+        &mut Vec::new(),
+        item,
+    ) {
+        ItemExit::Resolved(record, _) => record,
+        // Unreachable while the main loop runs: nothing sets the private
+        // abandon flag, and shutdown is only raised once the loop ends.
+        ItemExit::Interrupted => interrupted,
     }
 }

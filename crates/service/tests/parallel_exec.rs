@@ -5,10 +5,12 @@
 
 use std::sync::Arc;
 
-use matraptor_core::{FaultKind, FaultPlan};
-use matraptor_service::parallel::{self, ParJob, ParallelConfig, ParallelError};
-use matraptor_service::{Disposition, WorkerFault, WorkerFaultEvent, WorkerFaultPlan};
-use matraptor_sparse::gen;
+use matraptor_core::{Accelerator, FaultKind, FaultPlan};
+use matraptor_service::parallel::{self, ParJob, ParRecord, ParallelConfig, ParallelError};
+use matraptor_service::{
+    fingerprint_output, Disposition, WorkerFault, WorkerFaultEvent, WorkerFaultPlan,
+};
+use matraptor_sparse::{gen, Csr};
 
 fn jobs(count: u64, deadline: u64) -> Vec<ParJob> {
     (0..count)
@@ -222,4 +224,73 @@ fn recovery_log_is_bounded_under_a_fault_storm() {
     assert_eq!(report.records.len(), 24);
     assert!(report.recovery_log.len() <= 8, "log must stay within its cap");
     assert!(report.recovery_events_dropped > 0, "the storm must have evicted history");
+}
+
+/// Operands the resident slice loop cannot run resolve exactly as before
+/// it prepared them once per dispatch: a structurally invalid operand is
+/// refused by the preflight without a retry, and operands whose inner
+/// dimensions disagree fail every attempt the retry budget allows.
+#[test]
+fn unrunnable_operands_resolve_failed_with_the_same_record() {
+    let cfg = base_cfg(1);
+    let max_attempts = cfg.max_attempts;
+    let mut all = jobs(3, u64::MAX);
+    let poisoned = Csr::from_parts(
+        16,
+        16,
+        (0..=16).map(|r| usize::from(r > 3)).collect(),
+        vec![5],
+        vec![f64::NAN],
+    )
+    .expect("structurally valid");
+    all[1].a = Arc::new(poisoned);
+    all[2].b = Arc::new(gen::uniform(20, 16, 60, 99));
+    let report = parallel::run(cfg, all).expect("run");
+    let failed = |id, attempts| ParRecord {
+        id,
+        disposition: Disposition::Failed,
+        worker: 0,
+        attempts,
+        redispatches: 0,
+        resumed_from_checkpoint: false,
+        degraded_width: false,
+        executed_cycles: 0,
+        output_fingerprint: None,
+    };
+    assert_eq!(report.records[0].disposition, Disposition::Completed);
+    assert_eq!(report.records[1], failed(1, 1), "invalid input is refused, not retried");
+    assert_eq!(report.records[2], failed(2, max_attempts), "a shape mismatch fails every attempt");
+}
+
+/// A checkpoint taken at full width cannot resume on a worker degraded to
+/// half the lanes: the job restarts from scratch there, so its record is
+/// exactly a fresh half-width run's.
+#[test]
+fn a_checkpoint_from_another_lane_width_restarts_from_scratch() {
+    let mut cfg = base_cfg(1);
+    cfg.slice_cycles = 256;
+    cfg.max_restarts = 0;
+    cfg.max_degraded_restarts = 1;
+    cfg.worker_faults = Some(WorkerFaultPlan::new(vec![WorkerFaultEvent {
+        worker: 0,
+        after_slices: 2,
+        kind: WorkerFault::Crash,
+    }]));
+    let (a, b) = (gen::uniform(48, 48, 400, 11), gen::uniform(48, 48, 400, 12));
+    let mut half = cfg.accel.clone();
+    half.num_lanes /= 2;
+    half.mem.num_channels = half.num_lanes;
+    let fresh = Accelerator::new(half).try_run(&a, &b).expect("half-width run");
+    assert!(fresh.stats.total_cycles > 2 * cfg.slice_cycles, "the crash must land mid-job");
+    let job =
+        ParJob { id: 0, a: Arc::new(a), b: Arc::new(b), plan: None, deadline_cycles: u64::MAX };
+    let report = parallel::run(cfg, vec![job]).expect("run");
+    assert_eq!(report.counters.worker_degradations, 1);
+    assert_eq!(report.counters.resumed_from_checkpoint, 1, "the mailbox held a checkpoint");
+    let record = &report.records[0];
+    assert_eq!(record.disposition, Disposition::Completed);
+    assert!(record.degraded_width);
+    assert!(!record.resumed_from_checkpoint, "a foreign-width checkpoint is not resumed");
+    assert_eq!(record.executed_cycles, fresh.stats.total_cycles);
+    assert_eq!(record.output_fingerprint, Some(fingerprint_output(&fresh.c)));
 }
