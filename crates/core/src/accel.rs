@@ -99,9 +99,53 @@ struct Lane {
     writer: Writer,
     spal_out: VecDeque<ATok>,
     pe_in: VecDeque<PeTok>,
+    /// Set once the lane has drained ([`Lane::drained`]): the cycle from
+    /// which it is no longer ticked and owes its stages' idle charges.
+    /// Derived state: not checkpointed, and a restored lane retires again
+    /// after its first tick.
+    retired_since: Option<u64>,
 }
 
 impl Lane {
+    fn new(l: usize, cfg: &MatRaptorConfig, ctx: &RunContext<'_>) -> Self {
+        Lane {
+            spal: SpAl::new(l, cfg, &ctx.ac),
+            spbl: SpBl::new(cfg),
+            pe: Pe::new(cfg),
+            writer: Writer::new(l, cfg, ctx.c_layout.data_base),
+            spal_out: VecDeque::new(),
+            pe_in: VecDeque::new(),
+            retired_since: None,
+        }
+    }
+
+    /// Whether the lane has drained: no rows of A left, nothing in flight,
+    /// queued or merging. Permanent, since no response or token can reach
+    /// a drained lane, so each later tick of it would only charge every
+    /// stage one idle cycle.
+    fn drained(&self) -> bool {
+        self.spal.is_done()
+            && self.spbl.is_done()
+            && self.spal_out.is_empty()
+            && self.pe_in.is_empty()
+            && self.pe.is_done(self.pe_in.is_empty())
+            && self.writer.is_done()
+    }
+
+    /// Charges a retired lane's stages the idle cycles it owes up to the
+    /// top of cycle `t`: what ticking it through them would have charged.
+    /// A lane that retired at the end of cycle `t` owes nothing yet.
+    fn settle(&mut self, t: u64) {
+        if let Some(since) = self.retired_since.as_mut() {
+            let cycles = t.saturating_sub(*since);
+            *since += cycles;
+            self.spal.charge_idle(cycles);
+            self.spbl.charge_idle(cycles);
+            self.pe.charge_idle(cycles);
+            self.writer.charge_idle(cycles);
+        }
+    }
+
     /// The lane's per-stage cycle attribution, with the PE's existing
     /// Fig. 9 breakdown mapped onto the common four-bucket vocabulary.
     fn attribution(&self) -> LaneAttribution {
@@ -462,16 +506,7 @@ impl Accelerator {
         let cfg = &self.cfg;
         let lanes_n = cfg.num_lanes;
         let mut hbm = Hbm::new(cfg.mem.clone());
-        let mut lanes: Vec<Lane> = (0..lanes_n)
-            .map(|l| Lane {
-                spal: SpAl::new(l, cfg, &ctx.ac),
-                spbl: SpBl::new(cfg),
-                pe: Pe::new(cfg),
-                writer: Writer::new(l, cfg, ctx.c_layout.data_base),
-                spal_out: VecDeque::new(),
-                pe_in: VecDeque::new(),
-            })
-            .collect();
+        let mut lanes: Vec<Lane> = (0..lanes_n).map(|l| Lane::new(l, cfg, ctx)).collect();
 
         // Arm the injected fault, if any. Lane-targeted faults are
         // remapped to a lane that actually has work so a sampled site on
@@ -612,21 +647,12 @@ impl Accelerator {
         }
 
         let hbm = Hbm::restore(cfg.mem.clone(), &st.hbm);
-        let mut lanes: Vec<Lane> = (0..lanes_n)
-            .map(|l| Lane {
-                spal: SpAl::new(l, cfg, &ctx.ac),
-                spbl: SpBl::new(cfg),
-                pe: Pe::new(cfg),
-                writer: Writer::new(l, cfg, ctx.c_layout.data_base),
-                spal_out: VecDeque::new(),
-                pe_in: VecDeque::new(),
-            })
-            .collect();
+        let mut lanes: Vec<Lane> = (0..lanes_n).map(|l| Lane::new(l, cfg, ctx)).collect();
         for (lane, ls) in lanes.iter_mut().zip(&st.lanes) {
             lane.spal.restore(&ls.spal);
-            lane.spbl.restore(&ls.spbl);
+            lane.spbl.restore(&ls.spbl, cfg, &ctx.b_layout);
             lane.pe.restore(&ls.pe);
-            lane.writer.restore(&ls.writer);
+            lane.writer.restore(&ls.writer, cfg);
             lane.spal_out = ls.spal_out.iter().copied().collect();
             lane.pe_in = ls.pe_in.iter().copied().collect();
         }
@@ -676,7 +702,30 @@ impl Accelerator {
     /// observational (it reads counters, never machine state), so the
     /// traced and untraced machines tick bit-identically — the
     /// zero-overhead-when-disabled contract of the observability layer.
+    ///
+    /// A drained lane is retired: no longer ticked, it owes each stage one
+    /// idle cycle per cycle. Every exit settles those charges, through the
+    /// cycle the machine drained in or to the top of the cycle it stopped
+    /// at, so the counters read exactly as if the lane had been ticked. (A
+    /// run that fails inside a cycle settles to the top of that cycle;
+    /// nothing reads a failed machine's counters.)
     fn drive_observed(
+        &self,
+        ctx: &RunContext<'_>,
+        state: &mut RunState,
+        pause_at: u64,
+        sampler: Option<&mut TraceSampler>,
+    ) -> Result<bool, SimError> {
+        let result = self.drive_cycles(ctx, state, pause_at, sampler);
+        let end = state.t + u64::from(matches!(result, Ok(true)));
+        for lane in &mut state.lanes {
+            lane.settle(end);
+        }
+        result
+    }
+
+    /// The cycle loop of [`Accelerator::drive_observed`].
+    fn drive_cycles(
         &self,
         ctx: &RunContext<'_>,
         state: &mut RunState,
@@ -728,6 +777,10 @@ impl Accelerator {
 
             let mut all_done = true;
             for (l, lane) in lanes.iter_mut().enumerate() {
+                if lane.retired_since.is_some() {
+                    debug_assert!(inboxes[l].is_empty() && lane.drained(), "lane {l} woke");
+                    continue;
+                }
                 // Deliver responses.
                 for id in inboxes[l].drain(..) {
                     if lane.spal.on_response(id, &ctx.ac) {
@@ -787,12 +840,10 @@ impl Accelerator {
                     return Err(SimError::QueueOverflow { lane: l, row });
                 }
 
-                let lane_done = lane.spal.is_done()
-                    && lane.spbl.is_done()
-                    && lane.spal_out.is_empty()
-                    && lane.pe_in.is_empty()
-                    && lane.pe.is_done(lane.pe_in.is_empty())
-                    && lane.writer.is_done();
+                let lane_done = lane.drained();
+                if lane_done {
+                    lane.retired_since = Some(*t + 1);
+                }
                 all_done &= lane_done;
             }
 
@@ -818,6 +869,9 @@ impl Accelerator {
 
             if let Some(s) = sampler.as_deref_mut() {
                 if (*t + 1).is_multiple_of(s.window()) {
+                    for lane in lanes.iter_mut() {
+                        lane.settle(*t + 1);
+                    }
                     let attrs: Vec<LaneAttribution> = lanes.iter().map(Lane::attribution).collect();
                     s.close_window(*t + 1, &hbm.channel_stats(), &attrs);
                 }
@@ -1057,6 +1111,85 @@ mod tests {
             let issuable: u32 = state.lanes.iter().map(|l| l.spbl.issuable_jobs()).sum();
             assert!(waiting > 0, "no SpBL job waits on info at cycle {k}");
             assert!(i == 0 || issuable > 0, "empty SpBL issue sets at cycle {k}");
+        }
+    }
+
+    /// `n`×`n` operand whose non-zeros all sit on the rows of lane 0.
+    fn one_lane_operand(n: usize, nnz: usize, lanes: usize, seed: u64) -> Csr<f64> {
+        let m = gen::uniform(n, n, nnz, seed);
+        let rows = m.iter().filter(|&(r, ..)| (r as usize).is_multiple_of(lanes)).collect();
+        matraptor_sparse::Coo::from_triplets(n, n, rows).expect("in bounds").compress()
+    }
+
+    /// Channels whose next lookahead scan leaves a bank waiting on its
+    /// timer, recomputed from the plain device state at the top of cycle
+    /// `t`: a bank claimed by the first window fragment touching it, with
+    /// another row open (or none) and no activation under way, busy past
+    /// the next memory tick.
+    fn scans_waiting_on_a_bank_timer(state: &RunState, cfg: &MatRaptorConfig) -> usize {
+        let m = &cfg.mem;
+        let next_tick = state.t.div_ceil(cfg.mem_clock_ratio());
+        let hbm = state.hbm.snapshot();
+        hbm.channels
+            .iter()
+            .filter(|ch| {
+                let mut claimed = 0u64;
+                ch.queue.iter().take(m.bank_lookahead).any(|f| {
+                    let row = m.channel_local_offset(f.addr) / m.row_bytes;
+                    let bank = (row % m.banks_per_channel as u64) as usize;
+                    let first = claimed & 1 << bank == 0;
+                    claimed |= 1 << bank;
+                    let b = &ch.banks[bank];
+                    first
+                        && b.open_row != Some(row)
+                        && b.prep_row.is_none()
+                        && b.ready_at > next_tick
+                })
+            })
+            .count()
+    }
+
+    /// The premises of `checkpoint_replay`'s resume case for the derived
+    /// state of the fast paths. On its 48×48 operands (2 lanes), at
+    /// cycles 2775 and 4125 SpBL jobs are parked on a full channel while
+    /// a lookahead scan waits on a bank timer, and at 12100 a lane has
+    /// retired. On a 64×64 operand whose non-zeros all sit on lane 0's
+    /// rows (8 lanes), the other seven lanes have retired by cycle 475,
+    /// and at 800 and 1475 a scan waits on a bank timer as well.
+    #[test]
+    fn replay_cycles_hold_retired_lanes_parked_jobs_and_timed_scans() {
+        let small = MatRaptorConfig::small_test();
+        let (a, b) = (gen::uniform(48, 48, 400, 11), gen::uniform(48, 48, 400, 12));
+        let wide = MatRaptorConfig::default();
+        let (one, b8) = (one_lane_operand(64, 900, 8, 5), gen::uniform(64, 64, 900, 6));
+        let cases = [
+            (
+                &small,
+                (&a, &b),
+                [2775, 4125, 12100],
+                [(0, true, true), (0, true, true), (1, false, false)],
+            ),
+            (
+                &wide,
+                (&one, &b8),
+                [475, 800, 1475],
+                [(7, false, false), (7, false, true), (7, false, true)],
+            ),
+        ];
+        for (cfg, (a, b), cycles, want) in cases {
+            let accel = Accelerator::new(cfg.clone());
+            let ctx = accel.prepare(a, b).expect("valid operands").ctx;
+            let mut state = accel.fresh_state(&ctx, None);
+            for (k, (retired, parked, timed)) in cycles.into_iter().zip(want) {
+                assert!(!accel.drive_observed(&ctx, &mut state, k, None).expect("clean run"));
+                let full = state.hbm.full_channels();
+                let got = (
+                    state.lanes.iter().filter(|l| l.retired_since.is_some()).count(),
+                    state.lanes.iter().map(|l| l.spbl.parked_jobs(full)).sum::<u32>() > 0,
+                    scans_waiting_on_a_bank_timer(&state, cfg) > 0,
+                );
+                assert_eq!(got, (retired, parked, timed), "(retired, parked, timed scan) at {k}");
+            }
         }
     }
 

@@ -1,6 +1,6 @@
 //! Accelerator configuration.
 
-use matraptor_mem::{HbmConfig, MAX_BANK_LOOKAHEAD};
+use matraptor_mem::{HbmConfig, MAX_BANK_LOOKAHEAD, MAX_CHANNELS};
 
 use crate::error::ConfigError;
 
@@ -184,6 +184,8 @@ impl MatRaptorConfig {
         let m = &self.mem;
         let detail = if m.num_channels == 0 {
             "need at least one channel"
+        } else if m.num_channels > MAX_CHANNELS {
+            "more than 64 channels exceed the channel bitmasks"
         } else if m.channel_width_bytes == 0 {
             "zero channel width"
         } else if m.clock_ghz <= 0.0 {
@@ -301,6 +303,22 @@ mod tests {
             cfg.try_validate(),
             Err(ConfigError::InvalidMemConfig {
                 detail: "bank lookahead exceeds the controller's 16-fragment window"
+            })
+        );
+    }
+
+    #[test]
+    fn channels_above_the_bitmask_are_reported() {
+        let wide = |n| MatRaptorConfig {
+            num_lanes: n,
+            mem: HbmConfig::with_channels(n),
+            ..MatRaptorConfig::default()
+        };
+        assert_eq!(wide(MAX_CHANNELS).try_validate(), Ok(()));
+        assert_eq!(
+            wide(MAX_CHANNELS + 1).try_validate(),
+            Err(ConfigError::InvalidMemConfig {
+                detail: "more than 64 channels exceed the channel bitmasks"
             })
         );
     }

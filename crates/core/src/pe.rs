@@ -361,6 +361,13 @@ impl Pe {
         }
     }
 
+    /// Charges `cycles` ticks of a drained PE in bulk: each would find its
+    /// input empty with upstream done, count no phase cycle and charge one
+    /// idle cycle.
+    pub(crate) fn charge_idle(&mut self, cycles: u64) {
+        self.breakdown.idle.add(cycles);
+    }
+
     /// Whether the PE has no work in flight.
     pub(crate) fn is_done(&self, input_empty: bool) -> bool {
         input_empty && self.vec_mode.is_none() && self.phase2.is_none() && !self.skipping

@@ -23,27 +23,28 @@ pub(crate) struct MemPort<'a> {
 }
 
 impl MemPort<'_> {
-    /// Attempts to issue a read; returns the request id if accepted.
-    pub(crate) fn try_read(&mut self, addr: u64, bytes: u32) -> Option<u64> {
-        let id = *self.next_id;
-        if self.hbm.submit(self.mem_now, MemRequest::read(id, addr, bytes)) {
-            self.route.insert(id, self.lane);
-            *self.next_id += 1;
-            Some(id)
-        } else {
-            None
-        }
+    /// Attempts to issue a read on `channel`, the channel of `addr`'s
+    /// first byte; returns the request id if accepted.
+    pub(crate) fn try_read(&mut self, channel: usize, addr: u64, bytes: u32) -> Option<u64> {
+        self.try_submit(channel, MemRequest::read(*self.next_id, addr, bytes))
     }
 
-    /// Attempts to issue a write; returns the request id if accepted.
-    pub(crate) fn try_write(&mut self, addr: u64, bytes: u32) -> Option<u64> {
-        let id = *self.next_id;
-        if self.hbm.submit(self.mem_now, MemRequest::write(id, addr, bytes)) {
-            self.route.insert(id, self.lane);
-            *self.next_id += 1;
-            Some(id)
-        } else {
-            None
+    /// Attempts to issue a write on `channel`, the channel of `addr`'s
+    /// first byte; returns the request id if accepted.
+    pub(crate) fn try_write(&mut self, channel: usize, addr: u64, bytes: u32) -> Option<u64> {
+        self.try_submit(channel, MemRequest::write(*self.next_id, addr, bytes))
+    }
+
+    /// Submits `req`, or refuses it without building a fragment when its
+    /// first fragment's channel is full: the device would refuse it too.
+    fn try_submit(&mut self, channel: usize, req: MemRequest) -> Option<u64> {
+        debug_assert_eq!(channel, self.hbm.config().channel_of_addr(req.addr), "{req:?}");
+        if self.hbm.full_channels() & 1 << channel != 0 || !self.hbm.submit(self.mem_now, req) {
+            return None;
         }
+        let id = req.id.0;
+        self.route.insert(id, self.lane);
+        *self.next_id += 1;
+        Some(id)
     }
 }

@@ -149,7 +149,7 @@ impl SpAl {
         {
             let row = self.rows[self.info_cursor] as usize;
             let addr = layout.info_addr(row);
-            match port.try_read(addr, INFO_BYTES) {
+            match port.try_read(cfg.mem.channel_of_addr(addr), addr, INFO_BYTES) {
                 Some(id) => {
                     self.pending_info.insert(id, self.info_cursor);
                     self.in_flight += 1;
@@ -196,7 +196,8 @@ impl SpAl {
                 if self.in_flight >= self.max_outstanding {
                     break;
                 }
-                match port.try_read(addr, bytes) {
+                // The row's data lives on this lane's own channel.
+                match port.try_read(self.lane, addr, bytes) {
                     Some(id) => {
                         let count = bytes as u64 / layout.entry_bytes;
                         self.pending_data.insert(
@@ -239,6 +240,12 @@ impl SpAl {
         } else {
             StageClass::MemStall
         });
+    }
+
+    /// Charges `cycles` ticks of a drained loader in bulk: each would
+    /// forward and issue nothing and charge one idle cycle.
+    pub(crate) fn charge_idle(&mut self, cycles: u64) {
+        self.attribution.idle.add(cycles);
     }
 
     /// Per-cycle busy/stall attribution for this unit.

@@ -31,6 +31,12 @@ pub struct SpBl {
     /// visits only them instead of every job in the window.
     // conformance:allow(checkpoint-coverage): derived from `jobs`; restore rebuilds it
     issue_set: u64,
+    /// Entry `c`: the jobs of the issue set whose next request goes to
+    /// memory channel `c`, keyed like `issue_set` (see [`Job::parkable`]).
+    /// A visit to one of them while its channel is full would issue
+    /// nothing, so the issue loop skips them: they are parked.
+    // conformance:allow(checkpoint-coverage): derived from `jobs`; restore rebuilds it
+    channel_sets: Vec<u64>,
     next_seq: u64,
     pending_info: BTreeMap<u64, u64>,
     pending_data: BTreeMap<u64, DataSpan>,
@@ -68,6 +74,9 @@ struct Job {
     info_requested: bool,
     info_ready: bool,
     plan: Option<VecDeque<(u64, u32)>>,
+    /// Memory channel of the job's next request (see
+    /// [`Job::next_channel`]); set on accept and when the plan is built.
+    channel: usize,
     len: u32,
     /// Entries whose data responses have arrived (contiguous prefix —
     /// per-channel ordering guarantees in-order arrival within a job).
@@ -84,6 +93,24 @@ impl Job {
         self.kind == JobKind::Fetch
             && (!self.info_requested
                 || self.info_ready && self.plan.as_ref().is_none_or(|p| !p.is_empty()))
+    }
+
+    /// Whether the job is in the issue set and its visit can only issue
+    /// on its `channel`: every issuable job except one whose info has
+    /// arrived and whose plan is not built, since its visit builds the
+    /// plan whether or not the channel has room.
+    fn parkable(&self) -> bool {
+        self.can_issue() && !(self.info_ready && self.plan.is_none())
+    }
+
+    /// The channel of the job's next request: its row-info read until the
+    /// plan is built, then the plan's data reads, which all sit on the
+    /// channel holding B's row.
+    fn next_channel(&self, cfg: &MatRaptorConfig, layout: &MatrixLayout) -> usize {
+        match self.plan.as_ref().and_then(VecDeque::front) {
+            Some(&(addr, _)) => cfg.mem.channel_of_addr(addr),
+            None => cfg.mem.channel_of_addr(layout.info_addr(self.b_row as usize)),
+        }
     }
 
     /// This job's bit in [`SpBl`]'s issue set.
@@ -110,6 +137,7 @@ impl SpBl {
         SpBl {
             jobs: VecDeque::new(),
             issue_set: 0,
+            channel_sets: vec![0; cfg.mem.num_channels],
             next_seq: 0,
             pending_info: BTreeMap::new(),
             pending_data: BTreeMap::new(),
@@ -127,27 +155,45 @@ impl SpBl {
     pub(crate) fn on_response(&mut self, id: u64) -> bool {
         if let Some(seq) = self.pending_info.remove(&id) {
             self.in_flight -= 1;
-            if let Some(job) = self.job_mut(seq) {
-                job.info_ready = true;
-                let bit = job.bit();
-                self.issue_set |= bit;
+            if let Some(idx) = self.job_index(seq) {
+                self.jobs[idx].info_ready = true;
+                self.refile(idx);
             }
             return true;
         }
         if let Some(span) = self.pending_data.remove(&id) {
             self.in_flight -= 1;
-            if let Some(job) = self.job_mut(span.job_seq) {
-                job.ready_entries += span.count;
+            if let Some(idx) = self.job_index(span.job_seq) {
+                self.jobs[idx].ready_entries += span.count;
             }
             return true;
         }
         false
     }
 
-    fn job_mut(&mut self, seq: u64) -> Option<&mut Job> {
-        let front_seq = self.jobs.front()?.seq;
-        let idx = (seq - front_seq) as usize;
-        self.jobs.get_mut(idx)
+    fn job_index(&self, seq: u64) -> Option<usize> {
+        let idx = (seq - self.jobs.front()?.seq) as usize;
+        (idx < self.jobs.len()).then_some(idx)
+    }
+
+    /// Files job `idx` in the issue set and its channel's set (or out of
+    /// them) after its state changed.
+    fn refile(&mut self, idx: usize) {
+        let job = &self.jobs[idx];
+        let (bit, channel) = (job.bit(), job.channel);
+        self.issue_set = self.issue_set & !bit | if job.can_issue() { bit } else { 0 };
+        let set = &mut self.channel_sets[channel];
+        *set = *set & !bit | if job.parkable() { bit } else { 0 };
+    }
+
+    /// The jobs parked on the channels of `full`, a channel bitmask.
+    fn parked(&self, mut full: u64) -> u64 {
+        let mut parked = 0;
+        while full != 0 {
+            parked |= self.channel_sets[full.trailing_zeros() as usize];
+            full &= full - 1;
+        }
+        parked
     }
 
     /// One accelerator cycle. `upstream_done` reports whether this lane's
@@ -166,7 +212,7 @@ impl SpBl {
         out_cap: usize,
         upstream_done: bool,
     ) {
-        debug_assert_eq!(self.issue_set, self.derived_issue_set(), "SpBL issue set out of step");
+        debug_assert!(self.sets_in_step(), "SpBL issue or channel sets out of step");
         // Attribution bookkeeping only — never gates behaviour.
         let mut moved = false;
 
@@ -202,6 +248,7 @@ impl SpBl {
                     info_requested: false,
                     info_ready: false,
                     plan: None,
+                    channel: cfg.mem.channel_of_addr(layout.info_addr(col as usize)),
                     len: 0,
                     ready_entries: 0,
                     drained_entries: 0,
@@ -216,25 +263,27 @@ impl SpBl {
                     info_requested: true,
                     info_ready: true,
                     plan: Some(VecDeque::new()),
+                    channel: 0,
                     len: 0,
                     ready_entries: 0,
                     drained_entries: 0,
                 },
             };
-            if job.can_issue() {
-                self.issue_set |= job.bit();
-            }
             self.jobs.push_back(job);
+            self.refile(self.jobs.len() - 1);
             self.next_seq += 1;
             moved = true;
         }
 
         // Issue info and data requests in job order. Only jobs in the issue
-        // set are visited: the others would issue nothing.
+        // set and not parked on a full channel are visited: the others
+        // would issue nothing. A channel full now stays full for the rest
+        // of the cycle, as only the memory's own tick pops its queue.
         if self.staging.len() < self.staging_cap {
             let front_seq = self.jobs.front().map_or(0, |j| j.seq);
+            let parked = self.parked(port.hbm.full_channels());
             // Bit k of `visit` is the job k places behind the front.
-            let mut visit = self.issue_set.rotate_right((front_seq % 64) as u32);
+            let mut visit = (self.issue_set & !parked).rotate_right((front_seq % 64) as u32);
             while visit != 0 {
                 if self.in_flight >= self.max_outstanding {
                     break;
@@ -247,7 +296,7 @@ impl SpBl {
                 };
                 if !info_requested {
                     let addr = layout.info_addr(b_row as usize);
-                    if let Some(id) = port.try_read(addr, INFO_BYTES) {
+                    if let Some(id) = port.try_read(self.jobs[idx].channel, addr, INFO_BYTES) {
                         self.pending_info.insert(id, seq);
                         self.in_flight += 1;
                         self.jobs[idx].info_requested = true;
@@ -264,15 +313,19 @@ impl SpBl {
                             info,
                             cfg.read_request_bytes,
                         );
-                        self.jobs[idx].len = info.len;
-                        self.jobs[idx].plan = Some(plan.into());
+                        let job = &mut self.jobs[idx];
+                        job.len = info.len;
+                        job.plan = Some(plan.into());
+                        // Outside every channel set until refiled below.
+                        job.channel = job.next_channel(cfg, layout);
                     }
+                    let channel = self.jobs[idx].channel;
                     if let Some(plan) = self.jobs[idx].plan.as_mut() {
                         while let Some(&(addr, bytes)) = plan.front() {
                             if self.in_flight >= self.max_outstanding {
                                 break;
                             }
-                            match port.try_read(addr, bytes) {
+                            match port.try_read(channel, addr, bytes) {
                                 Some(id) => {
                                     plan.pop_front();
                                     let count = (bytes as u64 / layout.entry_bytes) as u32;
@@ -285,10 +338,7 @@ impl SpBl {
                         }
                     }
                 }
-                let job = &self.jobs[idx];
-                if !job.can_issue() {
-                    self.issue_set &= !job.bit();
-                }
+                self.refile(idx);
             }
         }
 
@@ -377,6 +427,7 @@ impl SpBl {
     fn pop_job(&mut self) {
         if let Some(job) = self.jobs.pop_front() {
             self.issue_set &= !job.bit();
+            self.channel_sets[job.channel] &= !job.bit();
         }
     }
 
@@ -393,9 +444,32 @@ impl SpBl {
         self.issue_set.count_ones()
     }
 
-    /// The issue set as recomputed from `jobs`.
-    fn derived_issue_set(&self) -> u64 {
-        self.jobs.iter().filter(|j| j.can_issue()).fold(0, |set, j| set | j.bit())
+    /// Jobs parked on the channels of `full`, a channel bitmask.
+    #[cfg(test)]
+    pub(crate) fn parked_jobs(&self, full: u64) -> u32 {
+        self.parked(full).count_ones()
+    }
+
+    /// Whether the issue set and the channel sets hold exactly what
+    /// [`SpBl::refile`] would file from `jobs`.
+    fn sets_in_step(&self) -> bool {
+        let (mut issuable, mut parkable) = (0, 0);
+        let filed = self.jobs.iter().all(|j| {
+            issuable += u32::from(j.can_issue());
+            parkable += u32::from(j.parkable());
+            (self.issue_set & j.bit() != 0) == j.can_issue()
+                && (self.channel_sets[j.channel] & j.bit() != 0) == j.parkable()
+        });
+        filed
+            && self.issue_set.count_ones() == issuable
+            && self.channel_sets.iter().map(|set| set.count_ones()).sum::<u32>() == parkable
+    }
+
+    /// Charges `cycles` ticks of a drained loader in bulk: each would find
+    /// no job (`blocked[3]`) and charge one idle cycle.
+    pub(crate) fn charge_idle(&mut self, cycles: u64) {
+        self.blocked[3] += cycles;
+        self.attribution.idle.add(cycles);
     }
 
     /// Per-cycle busy/stall attribution for this unit.
@@ -477,8 +551,13 @@ impl SpBl {
     }
 
     /// Restores a snapshot into a freshly constructed loader built from
-    /// the same configuration.
-    pub(crate) fn restore(&mut self, state: &SpBlState) {
+    /// the same configuration and B layout.
+    pub(crate) fn restore(
+        &mut self,
+        state: &SpBlState,
+        cfg: &MatRaptorConfig,
+        layout: &MatrixLayout,
+    ) {
         self.jobs = state
             .jobs
             .iter()
@@ -492,12 +571,19 @@ impl SpBl {
                 info_requested: j.info_requested,
                 info_ready: j.info_ready,
                 plan: j.plan.as_ref().map(|p| p.iter().copied().collect()),
+                channel: 0,
                 len: j.len,
                 ready_entries: j.ready_entries,
                 drained_entries: j.drained_entries,
             })
             .collect();
-        self.issue_set = self.derived_issue_set();
+        for idx in 0..self.jobs.len() {
+            let job = &mut self.jobs[idx];
+            if job.kind == JobKind::Fetch {
+                job.channel = job.next_channel(cfg, layout);
+            }
+            self.refile(idx);
+        }
         self.next_seq = state.next_seq;
         self.pending_info = state.pending_info.iter().copied().collect();
         self.pending_data = state

@@ -89,8 +89,10 @@ pub(crate) struct Writer {
     local_cursor: u64,
     /// Entries buffered toward the next burst write.
     buffered_bytes: u32,
-    /// Write requests accepted by the buffer but not yet by the HBM.
-    queue: VecDeque<(u64, u32)>,
+    /// Write requests accepted by the buffer but not yet by the HBM, as
+    /// `(addr, bytes, channel)`: the channel of `addr`, computed when the
+    /// write is queued (the checkpoint keeps `(addr, bytes)`).
+    queue: VecDeque<(u64, u32, usize)>,
     /// Ids of writes in flight.
     pending: BTreeSet<u64>,
     /// Current row being assembled.
@@ -176,7 +178,8 @@ impl Writer {
         if self.buffered_bytes > 0 {
             self.flush_data_burst(cfg);
         }
-        self.queue.push_back((layout.info_addr(row as usize), INFO_BYTES));
+        let addr = layout.info_addr(row as usize);
+        self.queue.push_back((addr, INFO_BYTES, cfg.mem.channel_of_addr(addr)));
         self.finished.push(FinishedRow {
             row,
             cols: std::mem::take(&mut self.cur_cols),
@@ -206,7 +209,7 @@ impl Writer {
     fn flush_data_burst(&mut self, cfg: &MatRaptorConfig) {
         let addr =
             cfg.mem.channel_local_to_flat(self.lane, self.data_local_base() + self.local_cursor);
-        self.queue.push_back((addr, self.buffered_bytes));
+        self.queue.push_back((addr, self.buffered_bytes, self.lane));
         self.local_cursor += self.buffered_bytes as u64;
         self.buffered_bytes = 0;
     }
@@ -220,8 +223,8 @@ impl Writer {
     /// One accelerator cycle: issue at most one queued write.
     pub(crate) fn tick(&mut self, port: &mut MemPort<'_>) {
         let mut issued = false;
-        if let Some(&(addr, bytes)) = self.queue.front() {
-            if let Some(id) = port.try_write(addr, bytes) {
+        if let Some(&(addr, bytes, channel)) = self.queue.front() {
+            if let Some(id) = port.try_write(channel, addr, bytes) {
                 self.pending.insert(id);
                 self.queue.pop_front();
                 issued = true;
@@ -237,6 +240,12 @@ impl Writer {
         } else {
             StageClass::Idle
         });
+    }
+
+    /// Charges `cycles` ticks of a drained writer in bulk: each would
+    /// issue nothing and charge one idle cycle.
+    pub(crate) fn charge_idle(&mut self, cycles: u64) {
+        self.attribution.idle.add(cycles);
     }
 
     /// Per-cycle busy/stall attribution for this unit.
@@ -279,7 +288,7 @@ impl Writer {
         WriterState {
             local_cursor: self.local_cursor,
             buffered_bytes: self.buffered_bytes,
-            queue: self.queue.iter().copied().collect(),
+            queue: self.queue.iter().map(|&(addr, bytes, _)| (addr, bytes)).collect(),
             pending: self.pending.iter().copied().collect(),
             cur_row: self.cur_row,
             cur_cols: self.cur_cols.clone(),
@@ -294,10 +303,14 @@ impl Writer {
 
     /// Restores a snapshot into a freshly constructed writer for the same
     /// `(lane, config, layout)` triple.
-    pub(crate) fn restore(&mut self, state: &WriterState) {
+    pub(crate) fn restore(&mut self, state: &WriterState, cfg: &MatRaptorConfig) {
         self.local_cursor = state.local_cursor;
         self.buffered_bytes = state.buffered_bytes;
-        self.queue = state.queue.iter().copied().collect();
+        self.queue = state
+            .queue
+            .iter()
+            .map(|&(addr, bytes)| (addr, bytes, cfg.mem.channel_of_addr(addr)))
+            .collect();
         self.pending = state.pending.iter().copied().collect();
         self.cur_row = state.cur_row;
         self.cur_cols = state.cur_cols.clone();

@@ -9,7 +9,7 @@ use matraptor_core::{
     MatRaptorStats, RunOutcome, SimError, SliceRun, CHECKPOINT_VERSION,
 };
 use matraptor_sparse::gen::suite;
-use matraptor_sparse::{gen, Csr};
+use matraptor_sparse::{gen, Coo, Csr};
 
 fn test_matrices() -> (Csr<f64>, Csr<f64>) {
     (gen::uniform(48, 48, 400, 11), gen::uniform(48, 48, 400, 12))
@@ -261,6 +261,39 @@ fn resume_while_spbl_jobs_wait_on_row_info_is_bit_identical() {
         assert_eq!(resumed.c.row_ptr(), full.c.row_ptr());
         assert_eq!(resumed.c.col_idx(), full.c.col_idx());
         assert_eq!(value_bits(&resumed.c), value_bits(&full.c), "value bits diverged at k={k}");
+    }
+}
+
+/// `n`×`n` operand whose non-zeros all sit on the rows of lane 0, so the
+/// other lanes drain early and retire.
+fn one_lane_operand(n: usize, nnz: usize, lanes: usize, seed: u64) -> Csr<f64> {
+    let m = gen::uniform(n, n, nnz, seed);
+    let rows = m.iter().filter(|&(r, ..)| (r as usize).is_multiple_of(lanes)).collect();
+    Coo::from_triplets(n, n, rows).expect("in bounds").compress()
+}
+
+/// The fast paths keep derived state that no checkpoint carries: retired
+/// lanes, SpBL jobs parked on full channels, and bank-lookahead scans
+/// waiting on a bank timer. Pause where each is live — the accel unit
+/// test `replay_cycles_hold_retired_lanes_parked_jobs_and_timed_scans`
+/// pins that premise for these cycles — and require the resumed run,
+/// which rebuilds that state, to be bit-identical to the unbroken one.
+#[test]
+fn resume_with_retired_lanes_parked_jobs_and_timed_scans_is_bit_identical() {
+    let (a, b) = test_matrices();
+    let wide = MatRaptorConfig::default();
+    let (one, b8) = (one_lane_operand(64, 900, wide.num_lanes, 5), gen::uniform(64, 64, 900, 6));
+    let cases = [
+        (accel(), (&a, &b), [2775, 4125, 12100]),
+        (Accelerator::new(wide), (&one, &b8), [475, 800, 1475]),
+    ];
+    for (accel, (a, b), cycles) in cases {
+        let full = summarise(accel.try_run(a, b));
+        for k in cycles {
+            let ck = Checkpoint::from_bytes(&pause_at(&accel, a, b, None, k).to_bytes())
+                .expect("round-trip");
+            assert_eq!(summarise(resume(&accel, a, b, &ck)), full, "resumed at cycle {k}");
+        }
     }
 }
 

@@ -16,7 +16,7 @@ use matraptor_core::{
     Accelerator, FaultKind, FaultPlan, LaneAttribution, MatRaptorConfig, SliceRun, TraceConfig,
 };
 use matraptor_sparse::gen::suite::table2;
-use matraptor_sparse::{gen, Csr};
+use matraptor_sparse::{gen, Coo, Csr};
 
 fn campaign_config() -> MatRaptorConfig {
     let mut cfg = MatRaptorConfig::small_test();
@@ -87,6 +87,42 @@ fn traced_runs_are_bit_identical_to_untraced_runs() {
         let tb: Vec<u64> = traced.c.values().iter().map(|v| v.to_bits()).collect();
         let pb: Vec<u64> = plain.c.values().iter().map(|v| v.to_bits()).collect();
         assert_eq!(tb, pb, "{}: output bits diverged under tracing", spec.id);
+    }
+}
+
+/// Lanes that drain early are retired and charged their idle cycles in
+/// bulk: with every non-zero of A on lane 0's rows, every stage of every
+/// lane still sums to the total cycles — per window of the trace too —
+/// and the traced run equals the untraced one, on 2 and 8 lanes.
+#[test]
+fn retired_lanes_keep_totality_and_traced_runs_bit_identical() {
+    let wide = MatRaptorConfig { watchdog_window: 2_000, ..MatRaptorConfig::default() };
+    for cfg in [campaign_config(), wide] {
+        let (n, lanes) = (64, cfg.num_lanes);
+        let m = gen::uniform(n, n, 900, 5);
+        let rows = m.iter().filter(|&(r, ..)| (r as usize).is_multiple_of(lanes)).collect();
+        let a: Csr<f64> = Coo::from_triplets(n, n, rows).expect("in bounds").compress();
+        let b = gen::uniform(n, n, 900, 6);
+        let accel = Accelerator::new(cfg);
+        let plain = accel.try_run(&a, &b).expect("clean run");
+        let tcfg = TraceConfig { window: 128, ..TraceConfig::default() };
+        let (traced, trace) = accel.try_run_traced(&a, &b, None, &tcfg).expect("traced run");
+        let ctx = format!("{lanes} lanes");
+        assert_eq!(traced.stats, plain.stats, "{ctx}: stats diverged under tracing");
+        assert_eq!(traced.c.col_idx(), plain.c.col_idx());
+        let bits = |c: &Csr<f64>| c.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&traced.c), bits(&plain.c), "{ctx}: output bits diverged under tracing");
+        let total = plain.stats.total_cycles;
+        assert_totality(&ctx, &plain.stats.per_lane_attribution, total);
+        // Each window charges every stage exactly the window's length, so
+        // a retired lane's owed cycles land in the window they belong to.
+        for lane in &trace.lanes {
+            for (i, w) in lane.windows.iter().enumerate() {
+                let end = lane.windows.get(i + 1).map_or(total, |next| next.start);
+                let per_stage = [w.spal, w.spbl, w.pe, w.writer].map(|s| s.iter().sum::<u64>());
+                assert_eq!(per_stage, [end - w.start; 4], "{ctx}: lane{} window {i}", lane.lane);
+            }
+        }
     }
 }
 

@@ -95,6 +95,13 @@ pub(crate) struct Channel {
     in_service: Option<(Fragment, Cycle)>,
     banks: Vec<Bank>,
     stats: ChannelStats,
+    /// Earliest cycle at which a bank-lookahead scan can start an
+    /// activation: `Cycle(0)` once the scanned window or a bank changed,
+    /// else the earliest `ready_at` of a bank the last scan left waiting,
+    /// else never. Derived state: not checkpointed, and a restored
+    /// channel scans on its first tick.
+    // conformance:allow(checkpoint-coverage): derived from the queue and banks; restore rescans
+    scan_at: Cycle,
 }
 
 impl Channel {
@@ -104,6 +111,7 @@ impl Channel {
             in_service: None,
             banks: vec![Bank::default(); cfg.banks_per_channel],
             stats: ChannelStats::default(),
+            scan_at: Cycle(0),
         }
     }
 
@@ -130,11 +138,15 @@ impl Channel {
     ///
     /// Panics if the queue is full — callers must check
     /// [`Channel::can_accept`] first (hardware backpressure).
-    pub(crate) fn enqueue(&mut self, frag: Fragment) {
+    pub(crate) fn enqueue(&mut self, frag: Fragment, cfg: &HbmConfig) {
         self.queue
             .try_push(frag)
             // conformance:allow(panic-safety): documented contract: callers must check can_accept first
             .unwrap_or_else(|_| panic!("channel queue overflow; check can_accept first"));
+        if self.queue.len() <= cfg.bank_lookahead {
+            // The fragment landed inside the lookahead window.
+            self.scan_at = Cycle(0);
+        }
     }
 
     /// Advances one cycle. Returns a fragment whose burst completed at
@@ -149,26 +161,15 @@ impl Channel {
             _ => None,
         };
 
-        // Start activations for fragments near the head of the queue. The
-        // first fragment touching a bank "claims" it, so a later fragment
-        // can never close a row an earlier one still needs.
-        let mut claimed = 0u64; // bitset over banks (≤ 64 banks)
-        for &Fragment { row, bank, .. } in self.queue.iter().take(cfg.bank_lookahead) {
-            let bit = 1u64 << bank;
-            if claimed & bit != 0 {
-                continue;
-            }
-            claimed |= bit;
-            let b = &mut self.banks[bank];
-            if b.open_row == Some(row) || b.prep_row == Some(row) {
-                continue;
-            }
-            if b.prep_row.is_none() && now >= b.ready_at {
-                b.open_row = None;
-                b.prep_row = Some(row);
-                b.ready_at = now + cfg.row_miss_penalty;
-                self.stats.row_misses.incr();
-            }
+        // Start activations for fragments near the head of the queue, but
+        // only when a scan can: the outcome of a scan changes only with the
+        // window, the bank states, or a waiting bank's timer.
+        if now >= self.scan_at {
+            let (started, wake) = self.lookahead(now, cfg, true);
+            self.stats.row_misses.add(started);
+            self.scan_at = wake;
+        } else {
+            debug_assert_eq!(self.lookahead(now, cfg, false).0, 0, "skipped a scan that activates");
         }
 
         // Put the head fragment on the bus when it is free.
@@ -191,6 +192,7 @@ impl Channel {
                 };
                 // conformance:allow(panic-safety): invariant: loop condition proved the queue is non-empty
                 let frag = self.queue.pop().expect("front exists");
+                self.scan_at = Cycle(0);
                 let end = start + cfg.burst_cycles();
                 self.in_service = Some((frag, end));
                 let b = &mut self.banks[bank];
@@ -212,6 +214,45 @@ impl Channel {
             }
         }
         completed
+    }
+
+    /// The bank-lookahead scan over the first `bank_lookahead` queued
+    /// fragments. The first fragment touching a bank "claims" it, so a
+    /// later fragment can never close a row an earlier one still needs. A
+    /// claimed bank with another row (or none) open and no activation
+    /// under way starts activating the claimed row once it is free — only
+    /// if `activate`, so a dry run can check that a skipped scan would
+    /// have started none.
+    /// Returns the activations due and the cycle at which a rescan of the
+    /// unchanged window could start another: the earliest `ready_at` of a
+    /// bank left waiting on its timer, or never. A bank left waiting on
+    /// another row's activation frees only when a fragment is popped,
+    /// which forces a rescan anyway.
+    fn lookahead(&mut self, now: Cycle, cfg: &HbmConfig, activate: bool) -> (u64, Cycle) {
+        let (mut started, mut wake) = (0, Cycle(u64::MAX));
+        let mut claimed = 0u64; // bitset over banks (≤ 64 banks)
+        for &Fragment { row, bank, .. } in self.queue.iter().take(cfg.bank_lookahead) {
+            let bit = 1u64 << bank;
+            if claimed & bit != 0 {
+                continue;
+            }
+            claimed |= bit;
+            let b = &mut self.banks[bank];
+            if b.open_row == Some(row) || b.prep_row.is_some() {
+                continue;
+            }
+            if now < b.ready_at {
+                wake = wake.min(b.ready_at);
+            } else {
+                started += 1;
+                if activate {
+                    b.open_row = None;
+                    b.prep_row = Some(row);
+                    b.ready_at = now + cfg.row_miss_penalty;
+                }
+            }
+        }
+        (started, wake)
     }
 
     /// Whether the channel has no queued or in-flight work.
@@ -288,6 +329,7 @@ impl Channel {
                 })
                 .collect(),
             stats,
+            scan_at: Cycle(0),
         }
     }
 }
@@ -322,7 +364,7 @@ mod tests {
     fn cold_burst_pays_activation_plus_burst() {
         let cfg = HbmConfig::default(); // burst 4, activation 22
         let mut ch = Channel::new(&cfg);
-        ch.enqueue(frag(&cfg, 1, 0, 64));
+        ch.enqueue(frag(&cfg, 1, 0, 64), &cfg);
         let done = drive(&mut ch, &cfg, 100);
         // Prep starts at t=0 (in the lookahead window), transfer waits for
         // it: ready at 22, burst done at 26.
@@ -333,8 +375,8 @@ mod tests {
     fn open_row_hits_are_back_to_back() {
         let cfg = HbmConfig::default();
         let mut ch = Channel::new(&cfg);
-        ch.enqueue(frag(&cfg, 1, 0, 64));
-        ch.enqueue(frag(&cfg, 2, 64, 64));
+        ch.enqueue(frag(&cfg, 1, 0, 64), &cfg);
+        ch.enqueue(frag(&cfg, 2, 64, 64), &cfg);
         let done = drive(&mut ch, &cfg, 200);
         assert_eq!(done[0], (1, 26));
         assert_eq!(done[1], (2, 30));
@@ -350,9 +392,9 @@ mod tests {
         let mut ch = Channel::new(&cfg);
         // Four bursts in row 0, then one in row 1.
         for i in 0..4 {
-            ch.enqueue(frag(&cfg, i, i * 64, 64));
+            ch.enqueue(frag(&cfg, i, i * 64, 64), &cfg);
         }
-        ch.enqueue(frag(&cfg, 9, 1024, 64));
+        ch.enqueue(frag(&cfg, 9, 1024, 64), &cfg);
         let done = drive(&mut ch, &cfg, 300);
         let last = done.last().unwrap();
         // Row-0 bursts finish at 26,30,34,38. Row 1's activation started
@@ -369,8 +411,8 @@ mod tests {
         let cfg = HbmConfig::with_channels(1);
         let nbanks = cfg.banks_per_channel as u64;
         let mut ch = Channel::new(&cfg);
-        ch.enqueue(frag(&cfg, 1, 0, 64));
-        ch.enqueue(frag(&cfg, 2, nbanks * cfg.row_bytes, 64));
+        ch.enqueue(frag(&cfg, 1, 0, 64), &cfg);
+        ch.enqueue(frag(&cfg, 2, nbanks * cfg.row_bytes, 64), &cfg);
         let done = drive(&mut ch, &cfg, 300);
         // Second activation cannot start until the first transfer ends
         // (t=26): ready 48, done 52.
@@ -382,8 +424,8 @@ mod tests {
     fn narrow_read_still_occupies_full_burst() {
         let cfg = HbmConfig::default();
         let mut ch = Channel::new(&cfg);
-        ch.enqueue(frag(&cfg, 1, 0, 8));
-        ch.enqueue(frag(&cfg, 2, 8, 8));
+        ch.enqueue(frag(&cfg, 1, 0, 8), &cfg);
+        ch.enqueue(frag(&cfg, 2, 8, 8), &cfg);
         let done = drive(&mut ch, &cfg, 200);
         // Same row: 4-cycle bursts back to back despite 8 B payloads.
         assert_eq!(done[1].1 - done[0].1, 4);
@@ -395,8 +437,8 @@ mod tests {
         let cfg = HbmConfig { queue_depth: 2, ..HbmConfig::default() };
         let mut ch = Channel::new(&cfg);
         assert!(ch.is_idle());
-        ch.enqueue(frag(&cfg, 1, 0, 64));
-        ch.enqueue(frag(&cfg, 2, 64, 64));
+        ch.enqueue(frag(&cfg, 1, 0, 64), &cfg);
+        ch.enqueue(frag(&cfg, 2, 64, 64), &cfg);
         assert!(!ch.can_accept());
         assert_eq!(ch.free_slots(), 0);
         assert!(!ch.is_idle());

@@ -3,6 +3,11 @@
 /// The deepest lookahead window the channel controller supports.
 pub const MAX_BANK_LOOKAHEAD: usize = 16;
 
+/// The most channels a device supports: [`crate::Hbm`] tracks full
+/// channel queues, and requesters their waiting work, in `u64` bitmasks
+/// over channels.
+pub const MAX_CHANNELS: usize = 64;
+
 /// Parameters of the HBM model.
 ///
 /// Defaults reproduce the paper's evaluated configuration (Section V): up
@@ -121,11 +126,17 @@ impl HbmConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any field is zero, the interleave is smaller than the
-    /// burst (which would make single-burst requests span channels), or
-    /// the bank lookahead exceeds [`MAX_BANK_LOOKAHEAD`].
+    /// Panics if any field is zero, there are more than [`MAX_CHANNELS`]
+    /// channels, the interleave is smaller than the burst (which would
+    /// make single-burst requests span channels), or the bank lookahead
+    /// exceeds [`MAX_BANK_LOOKAHEAD`].
     pub fn validate(&self) {
         assert!(self.num_channels > 0, "need at least one channel");
+        assert!(
+            self.num_channels <= MAX_CHANNELS,
+            "{} channels exceed the {MAX_CHANNELS}-channel bitmasks",
+            self.num_channels
+        );
         assert!(self.channel_width_bytes > 0, "zero channel width");
         assert!(self.clock_ghz > 0.0, "zero clock");
         assert!(self.burst_bytes > 0, "zero burst");
@@ -194,6 +205,13 @@ mod tests {
     fn bank_lookahead_above_the_window_rejected() {
         let cfg = HbmConfig { bank_lookahead: MAX_BANK_LOOKAHEAD + 1, ..HbmConfig::default() };
         cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "65 channels exceed the 64-channel bitmasks")]
+    fn channels_above_the_bitmask_rejected() {
+        HbmConfig::with_channels(MAX_CHANNELS).validate();
+        HbmConfig::with_channels(MAX_CHANNELS + 1).validate();
     }
 
     #[test]

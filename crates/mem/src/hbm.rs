@@ -101,6 +101,11 @@ pub struct Hbm {
     /// Installed fault schedule (empty by default; see [`MemFaults`]).
     faults: MemFaults,
     fault_counters: FaultCounters,
+    /// Bit `c` is set while channel `c`'s queue has no free slot, kept in
+    /// step on every enqueue and pop. Derived state: not checkpointed,
+    /// rebuilt on restore.
+    // conformance:allow(checkpoint-coverage): derived from the channel queues; restore rebuilds it
+    full: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -131,6 +136,7 @@ impl Hbm {
             latency_sum: 0,
             faults: MemFaults::none(),
             fault_counters: FaultCounters::default(),
+            full: 0,
         }
     }
 
@@ -154,6 +160,27 @@ impl Hbm {
     /// in-service burst is not counted). Used by deadlock diagnostics.
     pub fn queue_depths(&self) -> Vec<usize> {
         self.channels.iter().map(Channel::queue_len).collect()
+    }
+
+    /// The channels whose queue is full, as a bitmask (bit `c` for
+    /// channel `c`): [`Hbm::submit`] refuses every request with a
+    /// fragment on one of them. Reads 0 while a fault schedule is
+    /// installed, so a requester that skips full channels still reaches
+    /// `submit`, and every refusal window still counts its bounces.
+    pub fn full_channels(&self) -> u64 {
+        if self.faults.is_empty() {
+            self.full
+        } else {
+            0
+        }
+    }
+
+    /// The full-channel mask recomputed from the queues.
+    fn derived_full(&self) -> u64 {
+        self.channels
+            .iter()
+            .enumerate()
+            .fold(0, |mask, (c, ch)| mask | u64::from(ch.free_slots() == 0) << c)
     }
 
     /// Whether [`Hbm::submit`] would currently accept `req`.
@@ -187,7 +214,9 @@ impl Hbm {
         }
         let mut fragments_left = 0;
         for (ch, addr, bytes) in fragments(&self.cfg, &req) {
-            self.channels[ch].enqueue(Fragment::new(&self.cfg, req.id, req.kind, addr, bytes));
+            let channel = &mut self.channels[ch];
+            channel.enqueue(Fragment::new(&self.cfg, req.id, req.kind, addr, bytes), &self.cfg);
+            self.full |= u64::from(channel.free_slots() == 0) << ch;
             fragments_left += 1;
         }
         self.pending.insert(
@@ -200,13 +229,18 @@ impl Hbm {
     /// Advances all channels one cycle and matures completed requests into
     /// the response pipe.
     pub fn tick(&mut self, now: Cycle) {
+        debug_assert_eq!(self.full, self.derived_full(), "full-channel mask out of step");
         for (ch_idx, ch) in self.channels.iter_mut().enumerate() {
             if !self.faults.is_empty() && self.faults.stalled(ch_idx, now.as_u64()) {
                 self.fault_counters.stalled_cycles =
                     self.fault_counters.stalled_cycles.saturating_add(1);
                 continue;
             }
-            if let Some(frag) = ch.tick(now, &self.cfg) {
+            let completed = ch.tick(now, &self.cfg);
+            if ch.free_slots() > 0 {
+                self.full &= !(1 << ch_idx);
+            }
+            if let Some(frag) = completed {
                 let done = {
                     let p = self
                         .pending
@@ -345,7 +379,7 @@ impl Hbm {
                 })
                 .collect(),
         );
-        Hbm {
+        let mut hbm = Hbm {
             cfg,
             channels,
             pending,
@@ -354,7 +388,10 @@ impl Hbm {
             latency_sum: state.latency_sum,
             faults: state.faults.clone(),
             fault_counters: state.fault_counters,
-        }
+            full: 0,
+        };
+        hbm.full = hbm.derived_full();
+        hbm
     }
 
     /// Aggregate statistics.

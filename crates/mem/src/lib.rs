@@ -37,7 +37,7 @@ mod request;
 pub mod snapshot;
 
 pub use channel::ChannelStats;
-pub use config::{HbmConfig, MAX_BANK_LOOKAHEAD};
+pub use config::{HbmConfig, MAX_BANK_LOOKAHEAD, MAX_CHANNELS};
 pub use fault::{FaultCounters, FaultWindow, MemFaults};
 pub use hbm::{Hbm, HbmStats};
 pub use request::{MemKind, MemRequest, MemResponse, RequestId};

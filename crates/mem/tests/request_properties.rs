@@ -260,3 +260,85 @@ fn allocation_free_admission_agrees_with_the_fragment_list() {
     assert!(fault_refused > 0, "no refusal window bit");
     assert!(duplicates > 0, "no duplicate id was submitted");
 }
+
+/// The full-channel mask that lets a requester skip a submit the device
+/// would refuse. After every random submit and tick it equals the
+/// fullness of the queues recomputed from their depths, and `submit`
+/// refuses every request whose first fragment lands on a set channel.
+/// While a refusal or stall schedule is installed the mask reads 0, so
+/// requesters still reach `submit`, and the refusal counter matches a
+/// reference count of requests that touched a refusing window.
+#[test]
+fn full_channel_mask_tracks_the_queues_and_reads_zero_under_faults() {
+    let (mut skipped, mut masked, mut fault_refused) = (0, 0, 0);
+    for seed in 0..CASES {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xF011_C4A1);
+        let burst = [16u32, 32, 64][rng.gen_range(0..3usize)];
+        let cfg = HbmConfig {
+            num_channels: rng.gen_range(1..17usize),
+            burst_bytes: burst,
+            interleave_bytes: burst * rng.gen_range(1..3u32),
+            queue_depth: rng.gen_range(1..5usize),
+            ..HbmConfig::default()
+        };
+        let window = |rng: &mut ChaCha8Rng| {
+            let start = rng.gen_range(0..150u64);
+            FaultWindow {
+                channel: rng.gen_range(0..cfg.num_channels),
+                start,
+                end: start + rng.gen_range(1..100u64),
+            }
+        };
+        let faults = match rng.gen_range(0..3usize) {
+            0 => MemFaults::none(),
+            1 => {
+                MemFaults { stalls: Vec::new(), refusals: vec![window(&mut rng), window(&mut rng)] }
+            }
+            _ => MemFaults { stalls: vec![window(&mut rng)], refusals: Vec::new() },
+        };
+        let mut hbm = Hbm::new(cfg.clone());
+        hbm.set_faults(faults.clone());
+        let recomputed = |hbm: &Hbm| {
+            let full =
+                hbm.queue_depths().iter().enumerate().fold(0u64, |mask, (c, &depth)| {
+                    mask | u64::from(depth == cfg.queue_depth) << c
+                });
+            if faults.is_empty() {
+                full
+            } else {
+                0
+            }
+        };
+        let (mut next_id, mut want_refused) = (0u64, 0u64);
+        for t in 0..300u64 {
+            let now = Cycle(t);
+            for _ in 0..rng.gen_range(0..8usize) {
+                let req = MemRequest::write(
+                    next_id,
+                    rng.gen_range(0u64..100_000),
+                    rng.gen_range(1..4 * burst),
+                );
+                next_id += 1;
+                let mask = hbm.full_channels();
+                assert_eq!(mask, recomputed(&hbm), "seed {seed} t {t}: mask out of step");
+                masked += usize::from(mask != 0);
+                let refusing =
+                    fragment_channels(&cfg, &req).iter().any(|&ch| faults.refusing(ch, t));
+                want_refused += u64::from(refusing);
+                fault_refused += usize::from(refusing);
+                let accepted = hbm.submit(now, req);
+                if mask & 1 << cfg.channel_of_addr(req.addr) != 0 {
+                    assert!(!accepted, "seed {seed} t {t}: admitted to a full channel: {req:?}");
+                    skipped += 1;
+                }
+                assert_eq!(hbm.fault_counters().refused_submits, want_refused, "seed {seed} t {t}");
+            }
+            hbm.tick(now);
+            while hbm.pop_response(now).is_some() {}
+            assert_eq!(hbm.full_channels(), recomputed(&hbm), "seed {seed} t {t}: after tick");
+        }
+    }
+    assert!(skipped > 0, "no request met a full channel");
+    assert!(masked > 0, "the mask never read non-zero");
+    assert!(fault_refused > 0, "no refusal window bit");
+}
